@@ -30,9 +30,10 @@ import time
 from repro.core.nvbench import (
     NVBenchConfig,
     build_nvbench,
+    build_profile,
     paper_scale_config,
 )
-from repro.perf import BuildProfiler
+from repro.obs import SpanAggregator, Tracer
 from repro.spider.corpus import CorpusConfig, build_spider_corpus
 
 from conftest import emit, results_path
@@ -67,6 +68,13 @@ def _build_config(corpus: CorpusConfig, use_cache: bool) -> NVBenchConfig:
     )
 
 
+def _profiled_build(**kwargs):
+    """``(bench, --profile report)`` of one traced ``build_nvbench``."""
+    spans = SpanAggregator()
+    bench = build_nvbench(tracer=Tracer(exporter=spans), **kwargs)
+    return bench, build_profile(spans)
+
+
 def _timed_build(corpus, config, repeats: int = 3):
     """Median wall-clock over *repeats* runs (plus last bench/report).
 
@@ -77,11 +85,9 @@ def _timed_build(corpus, config, repeats: int = 3):
     seconds = []
     bench = report = None
     for _ in range(repeats):
-        profiler = BuildProfiler()
         start = time.perf_counter()
-        bench = build_nvbench(corpus=corpus, config=config, profiler=profiler)
+        bench, report = _profiled_build(corpus=corpus, config=config)
         seconds.append(time.perf_counter() - start)
-        report = profiler.report()
     return bench, statistics.median(seconds), report
 
 
@@ -164,24 +170,23 @@ def test_streamed_paper_scale_build(tmp_path):
 
     Standard profile: all 153 databases, asserting the ≥ 25k pair floor
     nvBench ships (25,750).  Quick profile: an 8-database prefix of the
-    same plan.  Either way the build is bounded-memory — the profiler's
+    same plan.  Either way the build is bounded-memory — the profile's
     ``resident_pairs_peak`` high-water mark stays far below the total.
     """
     config = paper_scale_config()
     max_databases = QUICK_PAPER_DATABASES if _quick() else None
     workers = min(4, os.cpu_count() or 1)
 
-    profiler = BuildProfiler()
     out = tmp_path / "paper"
     start = time.perf_counter()
-    bench = build_nvbench(
+    bench, report = _profiled_build(
         config=config, stream=True, out=str(out), workers=workers,
-        max_databases=max_databases, profiler=profiler,
+        max_databases=max_databases,
     )
     seconds = time.perf_counter() - start
 
     pairs = len(bench.pairs)
-    counters = profiler.report()["counters"]
+    counters = report["counters"]
     peak = counters["resident_pairs_peak"]
     per_1k = seconds / (pairs / 1000.0)
     databases = counters["shards_total"]
@@ -236,15 +241,14 @@ def test_incremental_rebuild_speedup(tmp_path):
     victim.write_text("truncated mid-write")
     resume_seconds = []
     for _ in range(3):
-        profiler = BuildProfiler()
         start = time.perf_counter()
-        build_nvbench(
+        _, report = _profiled_build(
             config=config, stream=True, out=str(out), resume=True,
-            max_databases=max_databases, profiler=profiler,
+            max_databases=max_databases,
         )
         resume_seconds.append(time.perf_counter() - start)
     resume_s = statistics.median(resume_seconds)
-    counters = profiler.report()["counters"]
+    counters = report["counters"]
     speedup = cold_s / resume_s
 
     _merge_trajectory({

@@ -28,8 +28,8 @@ import numpy as np
 
 from repro.core.nvbench import NVBenchConfig, build_nvbench
 from repro.eval.harness import ExperimentConfig, build_model, make_datasets
-from repro.neural.trainer import TrainConfig, train_model
-from repro.perf import TrainProfiler
+from repro.neural.trainer import TrainConfig, train_model, train_profile
+from repro.obs import SpanAggregator, Tracer
 from repro.spider.corpus import CorpusConfig, build_spider_corpus
 
 from conftest import emit, results_path
@@ -98,12 +98,14 @@ def _run(profile, exp_config, train_set, val_set, dtype, fused, repeats=2):
     best = None
     for _ in range(repeats):
         model = build_model("attention", train_set, exp_config)
-        profiler = TrainProfiler()
+        spans = SpanAggregator(keep=("epoch",))
         result = train_model(
-            model, train_set, val_set, train_config, profile=profiler
+            model, train_set, val_set, train_config,
+            tracer=Tracer(exporter=spans),
         )
-        if best is None or profiler.tokens_per_sec > best[2].tokens_per_sec:
-            best = (model, result, profiler)
+        report = train_profile(spans)
+        if best is None or report["tokens_per_sec"] > best[2]["tokens_per_sec"]:
+            best = (model, result, report)
     return best
 
 
@@ -125,7 +127,7 @@ def test_fast_engine_speedup_and_parity():
         profile, exp_config, train_set, val_set, "float32", fused=True
     )
 
-    speedup = opt_prof.tokens_per_sec / base_prof.tokens_per_sec
+    speedup = opt_prof["tokens_per_sec"] / base_prof["tokens_per_sec"]
     parity_drift = float(
         np.max(
             np.abs(
@@ -166,26 +168,26 @@ def test_fast_engine_speedup_and_parity():
         "baseline": {
             "engine": "float64 unfused ReferenceAdam",
             "train_losses": base_result.train_losses,
-            **base_prof.report(),
+            **base_prof,
         },
         "parity": {
             "engine": "float64 fused flat-Adam",
             "train_losses": parity_result.train_losses,
-            **parity_prof.report(),
+            **parity_prof,
         },
         "optimized": {
             "engine": "float32 fused flat-Adam",
             "train_losses": opt_result.train_losses,
-            **opt_prof.report(),
+            **opt_prof,
         },
     }
     results_path("BENCH_train.json").write_text(json.dumps(trajectory, indent=2))
 
     emit(
         "BENCH training engine",
-        f"baseline  (f64 unfused) {base_prof.tokens_per_sec:10.0f} tokens/sec\n"
-        f"parity    (f64 fused)   {parity_prof.tokens_per_sec:10.0f} tokens/sec\n"
-        f"optimized (f32 fused)   {opt_prof.tokens_per_sec:10.0f} tokens/sec\n"
+        f"baseline  (f64 unfused) {base_prof['tokens_per_sec']:10.0f} tokens/sec\n"
+        f"parity    (f64 fused)   {parity_prof['tokens_per_sec']:10.0f} tokens/sec\n"
+        f"optimized (f32 fused)   {opt_prof['tokens_per_sec']:10.0f} tokens/sec\n"
         f"speedup                 {speedup:10.2f}x\n"
         f"parity max epoch drift  {parity_drift:10.2e}\n"
         f"decode token-identical  {decode_identical!s:>10}",

@@ -20,19 +20,21 @@ Commands
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from repro.core.nvbench import (
     NVBenchConfig,
     build_nvbench,
+    build_profile,
     load_nvbench_dir,
     load_nvbench_pairs,
     paper_scale_config,
     save_nvbench_pairs,
 )
-from repro.perf import BuildProfiler
 from repro.spider.corpus import (
     CorpusConfig,
     build_spider_corpus,
@@ -41,18 +43,22 @@ from repro.spider.corpus import (
 )
 
 
-def _open_tracer(path: Optional[str]):
+def _open_tracer(path: Optional[str], spans=None):
     """``(tracer, exporter)`` for ``--trace PATH``; ``(None, None)`` off.
 
+    A :class:`~repro.obs.SpanAggregator` *spans* turns tracing on even
+    without ``--trace`` and forwards to the JSONL file when there is one.
     The caller must ``exporter.close()`` (after the traced work) so the
     JSONL file is flushed before the command exits.
     """
-    if not path:
+    if not path and spans is None:
         return None, None
     from repro.obs import JsonlExporter, Tracer
 
-    exporter = JsonlExporter(path)
-    return Tracer(exporter=exporter), exporter
+    exporter = JsonlExporter(path) if path else None
+    if spans is not None:
+        spans.downstream = exporter
+    return Tracer(exporter=exporter if spans is None else spans), exporter
 
 
 def _close_tracer(exporter, path: Optional[str]) -> None:
@@ -114,18 +120,22 @@ def _cmd_build_benchmark(args: argparse.Namespace) -> int:
             use_cache=not args.no_cache,
             seed=args.seed,
         )
-    profiler = BuildProfiler()
-    tracer, exporter = _open_tracer(args.trace)
+    from repro.obs import SpanAggregator
+
+    # The build is always traced: its spans feed the shard counts below
+    # and the --profile report.
+    spans = SpanAggregator()
+    tracer, exporter = _open_tracer(args.trace, spans)
     bench = build_nvbench(
-        corpus=corpus, config=config, workers=args.workers,
-        profiler=profiler, tracer=tracer,
+        corpus=corpus, config=config, workers=args.workers, tracer=tracer,
         out=args.out if sharded else None,
         resume=args.resume, stream=stream,
         max_databases=args.max_databases,
     )
     _close_tracer(exporter, args.trace)
+    profile = build_profile(spans)
     if sharded:
-        counters = profiler.report()["counters"]
+        counters = profile["counters"]
         print(f"wrote {len(bench.pairs)} (NL, VIS) pairs over "
               f"{len(bench.databases)} database shards to {args.out} "
               f"(built {counters.get('shards_built', 0)}, "
@@ -139,7 +149,7 @@ def _cmd_build_benchmark(args: argparse.Namespace) -> int:
               f"({len(bench.distinct_vis)} distinct vis) to {args.out}")
     # Pairs are saved first so a bad --profile path cannot lose the build.
     if args.profile:
-        profiler.write_json(args.profile)
+        Path(args.profile).write_text(json.dumps(profile, indent=2))
         print(f"wrote build profile to {args.profile}")
     return 0
 
@@ -191,8 +201,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         ExperimentConfig, build_model, evaluate_model, make_datasets,
     )
     from repro.neural.persist import save_model
-    from repro.neural.trainer import TrainConfig, train_model
-    from repro.perf import TrainProfiler
+    from repro.neural.trainer import TrainConfig, train_model, train_profile
+    from repro.obs import SpanAggregator
 
     bench = _load_bench(args)
     if bench is None:
@@ -210,10 +220,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     model = build_model(args.variant, train_set, config)
     print(f"training seq2vis ({args.variant}, {args.dtype}) "
           f"on {len(train_set)} pairs ...")
-    profiler = TrainProfiler() if args.profile else None
-    tracer, exporter = _open_tracer(args.trace)
+    spans = SpanAggregator(keep=("epoch",)) if args.profile else None
+    tracer, exporter = _open_tracer(args.trace, spans)
     result = train_model(model, train_set, val_set, config.train,
-                         profile=profiler, tracer=tracer)
+                         tracer=tracer)
     _close_tracer(exporter, args.trace)
     report = evaluate_model(model, test_set, bench)
     print(f"tree accuracy {report.tree_accuracy:.1%}  "
@@ -222,16 +232,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
                          args.out, optimizer=result.optimizer)
     print(f"saved model to {written}")
     # Model first so a bad --profile path cannot lose the training run.
-    if profiler is not None:
-        profiler.write_json(args.profile)
+    if spans is not None:
+        profile = train_profile(spans)
+        Path(args.profile).write_text(json.dumps(profile, indent=2))
         print(f"wrote train profile to {args.profile} "
-              f"({profiler.tokens_per_sec:.0f} tokens/sec)")
+              f"({profile['tokens_per_sec']:.0f} tokens/sec)")
     return 0
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
-    import json
-
     from repro.neural.persist import load_model
     from repro.serve import DecodeConfig, render_spec, translate_question
 
@@ -301,8 +310,6 @@ def _candidate_flags(candidate, database) -> str:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    import json
-
     from repro.pipeline import Budget, Generator, Pipeline
     from repro.serve import BaselineTranslator
 
@@ -369,8 +376,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_judge(args: argparse.Namespace) -> int:
-    import json
-
     from repro.eval import (
         format_matrix,
         judge_matrix,
@@ -513,7 +518,6 @@ def _serve_pool(args: argparse.Namespace, corpus, config) -> int:
     ``repro trace summarize DIR`` stitches them into one tree.
     """
     import asyncio
-    from pathlib import Path
 
     from repro.serve import PoolConfig, WorkerPool
 

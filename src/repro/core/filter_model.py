@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.grammar.ast_nodes import VIS_TYPES, VisQuery
-from repro.perf.profiler import BuildProfiler, stage
+from repro.obs.trace import Tracer, traced
 from repro.storage.executor import (
     ExecutionCache,
     ExecutionError,
@@ -316,7 +316,7 @@ def train_filter_from_candidates(
     candidates: Sequence[Tuple[VisQuery, Database]],
     seed: int = 0,
     cache: Optional[ExecutionCache] = None,
-    profiler: Optional[BuildProfiler] = None,
+    tracer: Optional[Tracer] = None,
 ) -> DeepEyeFilter:
     """Train a :class:`DeepEyeFilter` on candidate charts labelled by the
     teacher rules (the offline stand-in for DeepEye's labelled corpus).
@@ -326,7 +326,7 @@ def train_filter_from_candidates(
     """
     samples: List[ChartFeatures] = []
     labels: List[bool] = []
-    with stage(profiler, "filter_featurize"):
+    with traced(tracer, "filter_featurize"):
         for vis, database in candidates:
             features = extract_features(vis, database, cache=cache)
             if features is None:
@@ -335,6 +335,6 @@ def train_filter_from_candidates(
             labels.append(teacher_label(features))
     filter_model = DeepEyeFilter()
     if samples and len(set(labels)) > 1:
-        with stage(profiler, "filter_fit"):
+        with traced(tracer, "filter_fit"):
             filter_model.fit(samples, labels, seed=seed)
     return filter_model

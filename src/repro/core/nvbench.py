@@ -20,12 +20,13 @@ The build is also instrumented and cache-aware (``docs/PERFORMANCE.md``):
 an :class:`~repro.storage.executor.ExecutionCache` deduplicates query
 executions across candidates and across the filter-training pass (and
 persists across builds through the
-:class:`~repro.storage.journal.PersistentExecutionCache` journal), a
-:class:`~repro.perf.BuildProfiler` collects per-stage wall times and
-shard/resume counters, and ``workers=N`` fans units out over a process
-pool.  Serial and parallel builds produce identical pair lists and
-byte-identical shards: every input pair draws from its own derived RNG,
-so the sampling stream does not depend on sharding.
+:class:`~repro.storage.journal.PersistentExecutionCache` journal), every
+stage is a span whose attributes carry the shard/resume and cache
+counters (:func:`build_profile` turns them into the ``--profile``
+report), and ``workers=N`` fans units out over a process pool.  Serial
+and parallel builds produce identical pair lists and byte-identical
+shards: every input pair draws from its own derived RNG, so the
+sampling stream does not depend on sharding.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from repro.core.synthesizer import NL2VISSynthesizer, SynthesizedPair
 from repro.core.tree_edits import TreeEditConfig, generate_candidates
 from repro.grammar.ast_nodes import VisQuery
 from repro.obs.trace import Tracer, traced
-from repro.perf.profiler import BuildProfiler, stage
 from repro.spider.corpus import (
     CorpusConfig,
     NLSQLPair,
@@ -273,7 +273,6 @@ def build_nvbench(
     corpus: Optional[SpiderCorpus] = None,
     config: Optional[NVBenchConfig] = None,
     workers: int = 1,
-    profiler: Optional[BuildProfiler] = None,
     tracer: Optional[Tracer] = None,
     out: Optional[str] = None,
     resume: bool = False,
@@ -315,7 +314,8 @@ def build_nvbench(
         committed — fault-injection hook for the resumability tests.
 
     ``workers > 1`` fans units over a process pool and merges results in
-    unit order; the output is bit-identical to the serial build.
+    unit order; the output is bit-identical to the serial build, and to
+    a traced one (:func:`build_profile` reads the trace).
     """
     config = config or NVBenchConfig()
     if stream and corpus is not None:
@@ -331,27 +331,27 @@ def build_nvbench(
         mode=mode, out=str(out) if out else "",
     ) as build_span:
         if corpus is None and not stream:
-            with stage(profiler, "corpus_build"), traced(tracer, "corpus_build"):
+            with traced(tracer, "corpus_build"):
                 corpus = build_spider_corpus(config.corpus)
 
         cache = cache if cache is not None else _default_cache(config, store)
-        if isinstance(cache, PersistentExecutionCache) and profiler is not None:
-            profiler.count("cache_journal_preloaded", cache.preloaded)
-            profiler.count("cache_journal_corrupt", cache.corrupt_entries)
+        if isinstance(cache, PersistentExecutionCache):
+            build_span.set_attribute("cache_journal_preloaded", cache.preloaded)
+            build_span.set_attribute("cache_journal_corrupt", cache.corrupt_entries)
 
         units = _plan_units(corpus, config, stream, max_databases)
         config_fp = _config_fingerprint(config, mode)
 
-        with stage(profiler, "filter_train"), traced(tracer, "filter_train"):
+        with traced(tracer, "filter_train"):
             if stream:
                 chart_filter = _make_filter_streamed(
-                    config, cache=cache, profiler=profiler,
+                    config, cache=cache, tracer=tracer,
                     max_databases=max_databases,
                 )
                 filter_fp = content_hash({"streamed": True, "config": config_fp})
             else:
                 chart_filter = _make_filter(
-                    corpus, config, cache=cache, profiler=profiler
+                    corpus, config, cache=cache, tracer=tracer
                 )
                 filter_fp = _corpus_filter_fingerprint(corpus, config, config_fp)
 
@@ -371,19 +371,14 @@ def build_nvbench(
                     unit.db_name, content_hash(database_payload(unit.database))
                 )
             keys[unit.db_name] = _unit_key(unit, config_fp, filter_fp, db_hash)
-        if profiler is not None:
-            profiler.count("shards_total", len(units))
 
-        with stage(profiler, "synthesize"), traced(
-            tracer, "synthesize", databases=len(units)
-        ) as synth_span:
-            collected, total_pairs, total_inputs = _run_units(
+        with traced(tracer, "synthesize", shards_total=len(units)) as synth_span:
+            collected, counts = _run_units(
                 units, keys, manifest, previous, store, chart_filter, config,
-                workers, cache, profiler, tracer, after_shard,
+                workers, cache, tracer, after_shard,
                 keep_pairs=store is None,
             )
-            synth_span.set_attribute("input_pairs", total_inputs)
-            synth_span.set_attribute("output_pairs", total_pairs)
+            synth_span.set_attributes(counts)
 
         if store is not None:
             # Final manifest in canonical unit order (intermediate saves
@@ -397,17 +392,37 @@ def build_nvbench(
         if cache is not None:
             if isinstance(cache, PersistentExecutionCache):
                 cache.flush()
-            if profiler is not None:
-                profiler.count("execution_cache_hits", cache.hits)
-                profiler.count("execution_cache_misses", cache.misses)
             hits, misses = cache.counts()
             build_span.set_attributes(
                 {"execution_cache_hits": hits, "execution_cache_misses": misses}
             )
 
         bench = _assemble(corpus, store, manifest, collected, stream)
-        build_span.set_attribute("pairs", total_pairs)
+        build_span.set_attribute("pairs", counts["output_pairs"])
     return bench
+
+
+#: Span attributes summed into the ``--profile`` counters (see
+#: ``docs/PERFORMANCE.md`` for the span each one rides on).
+PROFILE_COUNTERS = (
+    "cache_journal_corrupt", "cache_journal_preloaded",
+    "candidates_enumerated", "candidates_kept",
+    "execution_cache_hits", "execution_cache_misses", "resident_pairs_peak",
+    "shards_built", "shards_rebuilt_dirty", "shards_skipped_clean",
+    "shards_total",
+)
+
+
+def build_profile(spans) -> dict:
+    """The ``build-benchmark --profile`` report of a build traced into the
+    :class:`~repro.obs.SpanAggregator` *spans*: calls and seconds of every
+    span name (nested, so not additive), the :data:`PROFILE_COUNTERS` its
+    spans carried, and the duration of the ``build_nvbench`` span."""
+    return {
+        "total_seconds": spans.get("build_nvbench").seconds,
+        "stages": spans.stages(),
+        "counters": spans.counters(PROFILE_COUNTERS),
+    }
 
 
 def _default_cache(
@@ -461,136 +476,108 @@ def _run_units(
     config: NVBenchConfig,
     workers: int,
     cache: Optional[ExecutionCache],
-    profiler: Optional[BuildProfiler],
     tracer: Optional[Tracer],
     after_shard: Optional[Callable[[int, str], None]],
     keep_pairs: bool,
-) -> Tuple[List[Tuple[tuple, SynthesizedPair]], int, int]:
+) -> Tuple[List[Tuple[tuple, SynthesizedPair]], Counter]:
     """Drive every unit: skip clean shards, build the rest, commit.
 
-    Returns ``(collected pairs, total output pairs, total input pairs)``
-    — ``collected`` is empty unless *keep_pairs* (the classic in-memory
-    build); sharded builds stream each unit's pairs to disk and drop
-    them, which is the bounded-memory guarantee ``BENCH_build.json``
-    records as ``resident_pairs_peak``.
+    Returns ``(collected pairs, counts)`` — ``collected`` is empty unless
+    *keep_pairs* (the classic in-memory build); sharded builds stream
+    each unit's pairs to disk and drop them, which is the bounded-memory
+    guarantee ``counts["resident_pairs_peak"]`` records.  Skipped clean
+    shards stay in the manifest on disk until the next commit rewrites it.
     """
     collected: List[Tuple[tuple, SynthesizedPair]] = []
-    total_pairs = 0
-    total_inputs = 0
+    counts: Counter = Counter(input_pairs=0, output_pairs=0)
     pending: List[BuildUnit] = []
 
-    def commit(entry: ManifestEntry, unit: BuildUnit) -> None:
-        manifest.entries[entry.name] = entry
-        store.save_manifest(manifest)
-        if isinstance(cache, PersistentExecutionCache):
-            cache.flush()
-        if after_shard is not None:
-            after_shard(unit.db_index, unit.db_name)
+    def finish(unit: BuildUnit, entry, indexed, n_inputs: int) -> None:
+        counts["shards_built"] += 1
+        counts["input_pairs"] += n_inputs
+        if store is not None:
+            counts["output_pairs"] += entry.pairs
+            resident = entry.pairs
+            manifest.entries[entry.name] = entry
+            store.save_manifest(manifest)
+            if isinstance(cache, PersistentExecutionCache):
+                cache.flush()
+            if after_shard is not None:
+                after_shard(unit.db_index, unit.db_name)
+        else:
+            counts["output_pairs"] += len(indexed)
+            collected.extend(indexed)
+            resident = counts["output_pairs"]
+        counts["resident_pairs_peak"] = max(counts["resident_pairs_peak"], resident)
 
     for unit in units:
-        if previous is not None:
-            prior = previous.entries.get(unit.db_name)
-            if prior is not None and store.entry_is_clean(prior, keys[unit.db_name]):
-                total_pairs += prior.pairs
-                total_inputs += prior.input_pairs
-                if profiler is not None:
-                    profiler.count("shards_skipped_clean")
-                manifest.entries[unit.db_name] = prior
-                store.save_manifest(manifest)
-                continue
-            if prior is not None and profiler is not None:
-                profiler.count("shards_rebuilt_dirty")
+        prior = None if previous is None else previous.entries.get(unit.db_name)
+        if prior is not None and store.entry_is_clean(prior, keys[unit.db_name]):
+            counts["shards_skipped_clean"] += 1
+            counts["input_pairs"] += prior.input_pairs
+            counts["output_pairs"] += prior.pairs
+            manifest.entries[unit.db_name] = prior
+            continue
+        if prior is not None:
+            counts["shards_rebuilt_dirty"] += 1
         pending.append(unit)
 
     if workers <= 1 or len(pending) <= 1:
         for unit in pending:
             entry, indexed, n_inputs = _process_unit(
                 unit, keys[unit.db_name], chart_filter, config,
-                cache=cache, profiler=profiler, tracer=tracer, store=store,
-                keep_pairs=keep_pairs,
+                cache=cache, tracer=tracer, store=store, keep_pairs=keep_pairs,
             )
-            total_inputs += n_inputs
-            if profiler is not None:
-                profiler.count("shards_built")
-            if store is not None:
-                total_pairs += entry.pairs
-                if profiler is not None:
-                    profiler.count_max("resident_pairs_peak", entry.pairs)
-                commit(entry, unit)
-            else:
-                total_pairs += len(indexed)
-                collected.extend(indexed)
-                if profiler is not None:
-                    profiler.count_max("resident_pairs_peak", total_pairs)
+            finish(unit, entry, indexed, n_inputs)
     else:
-        total_pairs, total_inputs = _run_units_pooled(
-            pending, keys, chart_filter, config, workers, cache, profiler,
-            tracer, store, keep_pairs, collected, commit,
-            total_pairs, total_inputs,
+        _run_units_pooled(
+            pending, keys, chart_filter, config, workers, cache, tracer,
+            store, keep_pairs, finish,
         )
-    return collected, total_pairs, total_inputs
+    return collected, counts
 
 
 def _run_units_pooled(
-    pending, keys, chart_filter, config, workers, cache, profiler, tracer,
-    store, keep_pairs, collected, commit, total_pairs, total_inputs,
+    pending, keys, chart_filter, config, workers, cache, tracer, store,
+    keep_pairs, finish,
 ):
     """Fan pending units over a process pool; merge in unit order.
 
     Each worker gets its own execution cache — pre-seeded with the
     coordinator cache's entries for its database, so a persistent
-    journal still pays off across processes — plus its own profiler and
-    (when tracing) a buffering tracer parented to the ``synthesize``
-    span; the coordinator absorbs everything in submission order, so
-    profiles, spans, and pair lists are deterministic regardless of
-    worker scheduling.
+    journal still pays off across processes — and (when tracing) a
+    buffering tracer parented to the ``synthesize`` span; the
+    coordinator absorbs spans, cache entries, and pairs in submission
+    order, so all three are deterministic regardless of worker
+    scheduling.
     """
     context = tracer.current_context() if tracer is not None else None
     trace_context = context.to_dict() if context is not None else None
     tasks = []
     for unit in pending:
         seed_entries = []
-        if cache is not None:
-            if isinstance(cache, PersistentExecutionCache):
-                seed_entries = cache.entries_for_db(unit.db_name)
-            use_cache = True
-        else:
-            use_cache = False
+        if isinstance(cache, PersistentExecutionCache):
+            seed_entries = cache.entries_for_db(unit.db_name)
         tasks.append((
-            unit, keys[unit.db_name], chart_filter, config, use_cache,
+            unit, keys[unit.db_name], chart_filter, config, cache is not None,
             seed_entries, trace_context,
             str(store.root) if store is not None else None, keep_pairs,
         ))
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        # pool.map preserves task order, so profile/span/pair merging is
+        # pool.map preserves task order, so span and pair merging is
         # deterministic regardless of worker scheduling.
-        for (entry, indexed, n_inputs, report, spans, new_entries), task in zip(
+        for (entry, indexed, n_inputs, spans, new_entries), task in zip(
             pool.map(_unit_task, tasks), tasks
         ):
-            unit = task[0]
-            total_inputs += n_inputs
-            if profiler is not None:
-                profiler.merge_report(report)
-                profiler.count("shards_built")
             if tracer is not None:
                 tracer.absorb(spans)
             if isinstance(cache, PersistentExecutionCache) and new_entries:
                 cache.absorb_entries(new_entries)
-            if store is not None:
-                total_pairs += entry.pairs
-                if profiler is not None:
-                    profiler.count_max("resident_pairs_peak", entry.pairs)
-                commit(entry, unit)
-            else:
-                total_pairs += len(indexed)
-                collected.extend(indexed)
-                if profiler is not None:
-                    profiler.count_max("resident_pairs_peak", total_pairs)
-    return total_pairs, total_inputs
+            finish(task[0], entry, indexed, n_inputs)
 
 
 def _unit_task(args: tuple):
-    """Process-pool worker: build one unit with its own instruments."""
+    """Process-pool worker: build one unit with its own cache and tracer."""
     (unit, key, chart_filter, config, use_cache, seed_entries,
      trace_context, store_root, keep_pairs) = args
     cache = ExecutionCache() if use_cache else None
@@ -598,24 +585,21 @@ def _unit_task(args: tuple):
         for entry_key, entry in seed_entries:
             cache._entries[entry_key] = entry
     seeded = set(cache._entries) if cache is not None else set()
-    profiler = BuildProfiler()
     tracer = Tracer() if trace_context is not None else None
     store = ShardStore(store_root) if store_root is not None else None
     entry, indexed, n_inputs = _process_unit(
         unit, key, chart_filter, config,
-        cache=cache, profiler=profiler, tracer=tracer, store=store,
+        cache=cache, tracer=tracer, store=store,
         keep_pairs=keep_pairs, parent_context=trace_context,
+        private_cache=True,
     )
-    if cache is not None:
-        profiler.count("execution_cache_hits", cache.hits)
-        profiler.count("execution_cache_misses", cache.misses)
     new_entries = (
         [(k, v) for k, v in cache._entries.items() if k not in seeded]
         if cache is not None
         else []
     )
     spans = tracer.finished() if tracer is not None else []
-    return entry, indexed, n_inputs, profiler.report(), spans, new_entries
+    return entry, indexed, n_inputs, spans, new_entries
 
 
 def _process_unit(
@@ -624,11 +608,11 @@ def _process_unit(
     chart_filter: DeepEyeFilter,
     config: NVBenchConfig,
     cache: Optional[ExecutionCache],
-    profiler: Optional[BuildProfiler],
     tracer: Optional[Tracer],
     store: Optional[ShardStore],
     keep_pairs: bool,
     parent_context: Optional[dict] = None,
+    private_cache: bool = False,
 ) -> Tuple[Optional[ManifestEntry], List[Tuple[tuple, SynthesizedPair]], int]:
     """Synthesize one database and (optionally) write its shard.
 
@@ -636,6 +620,8 @@ def _process_unit(
     process-pool paths run: materialize the unit, synthesize its pairs
     in input order, then atomically write the shard and corpus files.
     Returns ``(manifest entry | None, kept pairs, input-pair count)``.
+    A pool worker's *private_cache* serves this unit alone, so its counts
+    go on the ``shard`` span.
     """
     database, items, rng_factory = _materialize_unit(unit)
     with traced(
@@ -645,10 +631,14 @@ def _process_unit(
         indexed = _synthesize_items(
             {unit.db_name: database} if database is not None else {},
             items, chart_filter, config,
-            cache=cache, profiler=profiler, tracer=tracer,
-            rng_factory=rng_factory,
+            cache=cache, tracer=tracer, rng_factory=rng_factory,
         )
         shard_span.set_attribute("pairs_out", len(indexed))
+        if private_cache and cache is not None:
+            hits, misses = cache.counts()
+            shard_span.set_attributes(
+                {"execution_cache_hits": hits, "execution_cache_misses": misses}
+            )
 
     entry = None
     if store is not None:
@@ -701,7 +691,6 @@ def _synthesize_items(
     chart_filter: DeepEyeFilter,
     config: NVBenchConfig,
     cache: Optional[ExecutionCache],
-    profiler: Optional[BuildProfiler],
     tracer: Optional[Tracer] = None,
     rng_factory: Optional[Callable[[int], np.random.Generator]] = None,
 ) -> List[Tuple[tuple, SynthesizedPair]]:
@@ -724,7 +713,6 @@ def _synthesize_items(
         max_vis_per_query=config.max_vis_per_query,
         seed=config.seed,
         cache=cache,
-        profiler=profiler,
         tracer=tracer,
     )
     out: List[Tuple[tuple, SynthesizedPair]] = []
@@ -747,20 +735,20 @@ def _make_filter(
     corpus: SpiderCorpus,
     config: NVBenchConfig,
     cache: Optional[ExecutionCache] = None,
-    profiler: Optional[BuildProfiler] = None,
+    tracer: Optional[Tracer] = None,
 ) -> DeepEyeFilter:
     indexes = _filter_sample_indexes(corpus, config)
     if not indexes:
         return DeepEyeFilter()
     charts = []
-    with stage(profiler, "filter_candidates"):
+    with traced(tracer, "filter_candidates"):
         for index in indexes:
             pair = corpus.pairs[int(index)]
             database = corpus.databases[pair.db_name]
             for candidate in generate_candidates(pair.query, database, config.tree_edits):
                 charts.append((candidate.vis, database))
     return train_filter_from_candidates(
-        charts, seed=config.seed, cache=cache, profiler=profiler
+        charts, seed=config.seed, cache=cache, tracer=tracer
     )
 
 
@@ -798,7 +786,7 @@ def _corpus_filter_fingerprint(
 def _make_filter_streamed(
     config: NVBenchConfig,
     cache: Optional[ExecutionCache],
-    profiler: Optional[BuildProfiler],
+    tracer: Optional[Tracer],
     max_databases: Optional[int] = None,
 ) -> DeepEyeFilter:
     """Train the filter from the stream's first N input pairs.
@@ -818,7 +806,7 @@ def _make_filter_streamed(
     limit = config.corpus.num_databases
     if max_databases is not None:
         limit = min(limit, max_databases)
-    with stage(profiler, "filter_candidates"):
+    with traced(tracer, "filter_candidates"):
         for db_index in range(limit):
             database, pairs = generate_corpus_unit(config.corpus, db_index)
             for pair in pairs:
@@ -834,7 +822,7 @@ def _make_filter_streamed(
     if not charts:
         return DeepEyeFilter()
     return train_filter_from_candidates(
-        charts, seed=config.seed, cache=cache, profiler=profiler
+        charts, seed=config.seed, cache=cache, tracer=tracer
     )
 
 

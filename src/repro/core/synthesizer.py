@@ -19,7 +19,6 @@ from repro.core.nl_edits import synthesize_nl_variants
 from repro.core.tree_edits import TreeEditConfig, VisCandidate, generate_candidates
 from repro.grammar.ast_nodes import SQLQuery, VisQuery
 from repro.obs.trace import Tracer, traced
-from repro.perf.profiler import BuildProfiler, stage
 from repro.sqlparse.parser import parse_sql
 from repro.sqlparse.printer import to_sql
 from repro.storage.executor import ExecutionCache
@@ -83,13 +82,11 @@ class NL2VISSynthesizer:
     cache:
         Optional :class:`ExecutionCache` shared across candidates (and
         with the filter-training pass) so each query body executes once.
-    profiler:
-        Optional :class:`BuildProfiler` receiving the ``candidates``,
-        ``featurize``, ``score``, and ``select`` stages.
     tracer:
-        Optional :class:`~repro.obs.Tracer` emitting the same four
-        stages as spans, nested under whatever span is active when
-        :meth:`synthesize` runs (the build's per-pair span).
+        Optional :class:`~repro.obs.Tracer` emitting the ``candidates``,
+        ``featurize``, ``score``, and ``select`` stages as spans, nested
+        under whatever span is active when :meth:`synthesize` runs (the
+        build's per-pair span).
     """
 
     def __init__(
@@ -100,7 +97,6 @@ class NL2VISSynthesizer:
         second_slot_threshold: float = 0.52,
         seed: int = 0,
         cache: Optional[ExecutionCache] = None,
-        profiler: Optional[BuildProfiler] = None,
         tracer: Optional[Tracer] = None,
     ):
         self.chart_filter = chart_filter or DeepEyeFilter()
@@ -108,7 +104,6 @@ class NL2VISSynthesizer:
         self.max_vis_per_query = max_vis_per_query
         self.second_slot_threshold = second_slot_threshold
         self.cache = cache
-        self.profiler = profiler
         self.tracer = tracer
         self._rng = np.random.default_rng(seed)
 
@@ -172,18 +167,16 @@ class NL2VISSynthesizer:
         This mirrors nvBench's composition, where one SQL query typically
         yields a small number of *different* chart types.
         """
-        with stage(self.profiler, "candidates"), traced(self.tracer, "candidates"):
+        with traced(self.tracer, "candidates") as candidates_span:
             candidates = generate_candidates(query, database, self.tree_config)
-        with stage(self.profiler, "featurize"), traced(
-            self.tracer, "featurize"
-        ) as featurize_span:
+            candidates_span.set_attribute("candidates_enumerated", len(candidates))
+        with traced(self.tracer, "featurize"):
             featurized = []
             for candidate in candidates:
                 features = extract_features(candidate.vis, database, cache=self.cache)
                 if features is not None:
                     featurized.append((candidate, features))
-            featurize_span.set_attribute("candidates", len(candidates))
-        with stage(self.profiler, "score"), traced(self.tracer, "score"):
+        with traced(self.tracer, "score"):
             scores = self.chart_filter.score_batch(
                 [features for _, features in featurized]
             )
@@ -195,14 +188,9 @@ class NL2VISSynthesizer:
                     - 0.15 * len(candidate.edit.deleted_attrs)
                 )
                 scored.append((rank, len(scored), candidate))
-        with stage(self.profiler, "select"), traced(
-            self.tracer, "select"
-        ) as select_span:
+        with traced(self.tracer, "select") as select_span:
             kept = self._select_diverse(scored)
-            select_span.set_attribute("kept", len(kept))
-        if self.profiler is not None:
-            self.profiler.count("candidates_enumerated", len(candidates))
-            self.profiler.count("candidates_kept", len(kept))
+            select_span.set_attribute("candidates_kept", len(kept))
         return kept
 
     def _select_diverse(self, scored: List[tuple]) -> List[VisCandidate]:

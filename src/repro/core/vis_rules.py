@@ -119,7 +119,9 @@ def arrange_axes(
     Picks the x attribute by the type the spec's x-group operation makes
     sense for (T for binning-by-time, C for grouping, Q otherwise), the
     color attribute as the remaining categorical one for three-variable
-    charts, and the measure as what is left.
+    charts, and the measure as what is left.  A binned x axis always
+    takes the T attribute when there is one, whatever the select order,
+    so the measure left over is the Q column Table 1 aggregates.
     """
     remaining = list(attrs_with_types)
 
@@ -143,7 +145,7 @@ def arrange_axes(
             y = take(lambda t: True)
         return [x, y, color]
     if spec.x_group == GROUP_BINNING:
-        x = take(lambda t: t in ("T", "Q"))
+        x = take(lambda t: t == "T")
     elif spec.x_group == GROUP_GROUPING:
         x = take(lambda t: t == "C")
     else:

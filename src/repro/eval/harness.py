@@ -308,16 +308,11 @@ def train_and_evaluate(
     variant: str = "attention",
     config: Optional[ExperimentConfig] = None,
     pairs: Optional[Sequence[SynthesizedPair]] = None,
-    profile=None,
 ) -> Tuple[Seq2Vis, EvaluationReport]:
-    """The full Section 4 protocol for one variant.
-
-    Pass a :class:`repro.perf.TrainProfiler` as *profile* to collect
-    per-step/per-epoch training timings.
-    """
+    """The full Section 4 protocol for one variant."""
     config = config or ExperimentConfig()
     train_set, val_set, test_set = make_datasets(bench, config, pairs)
     model = build_model(variant, train_set, config)
-    train_model(model, train_set, val_set, config.train, profile=profile)
+    train_model(model, train_set, val_set, config.train)
     report = evaluate_model(model, test_set, bench)
     return model, report

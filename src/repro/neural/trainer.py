@@ -14,14 +14,14 @@ The loop is the integration point of the fast-engine pieces:
 * Epoch train loss is **token-weighted** (total masked token loss over
   total target tokens), the same statistic ``evaluate_loss`` reports,
   so train and validation curves are directly comparable.
-* ``profile=`` threads a :class:`repro.perf.TrainProfiler` through the
-  loop (per-step wall time + tokens, per-epoch breakdown); without one
-  the loop takes no clock readings.
+* ``tracer=`` records ``train`` → ``epoch`` → ``step`` / ``evaluate``
+  spans; each ``step`` carries its *target* token count (``tgt_mask``
+  sum, invariant to padding), from which :func:`train_profile` computes
+  the ``--profile`` report.  Without a tracer the loop reads no clock.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -33,7 +33,6 @@ from repro.neural.dtype import DEFAULT_TRAIN_DTYPE
 from repro.neural.model import Seq2Vis
 from repro.neural.optimizer import Adam, ReferenceAdam
 from repro.obs.trace import Tracer, traced
-from repro.perf.train import TrainProfiler
 
 
 @dataclass
@@ -88,17 +87,15 @@ def train_model(
     train_set: Seq2VisDataset,
     val_set: Optional[Seq2VisDataset] = None,
     config: Optional[TrainConfig] = None,
-    profile: Optional[TrainProfiler] = None,
     tracer: Optional[Tracer] = None,
 ) -> TrainResult:
     """Train *model*; restores the best-validation weights on return.
 
-    ``profile=`` aggregates step timings into a
-    :class:`~repro.perf.TrainProfiler`; ``tracer=`` additionally exports
-    the run as a span tree (``train`` → per-``epoch`` spans → per-``step``
-    and ``evaluate`` spans) carrying the same loss/token numbers, so one
-    training run can be inspected with ``repro trace summarize``.
-    Neither changes the optimization trajectory.
+    ``tracer=`` exports the run as a span tree (``train`` → per-``epoch``
+    spans → per-``step`` and ``evaluate`` spans) carrying the same
+    loss/token numbers, so one training run can be inspected with
+    ``repro trace summarize``.  It never changes the optimization
+    trajectory.
     """
     config = config or TrainConfig()
     rng = np.random.default_rng(config.seed)
@@ -112,7 +109,6 @@ def train_model(
     best_val = float("inf")
     best_state: Optional[Dict[str, np.ndarray]] = None
     stale = 0
-    clock = time.perf_counter
     with traced(
         tracer, "train",
         epochs=config.epochs, batch_size=config.batch_size, lr=config.lr,
@@ -121,21 +117,17 @@ def train_model(
         for epoch in range(config.epochs):
             epoch_loss = 0.0
             epoch_tokens = 0
-            epoch_start = clock() if profile is not None else 0.0
             batches = train_set.batches(config.batch_size, rng)
             with traced(tracer, "epoch", epoch=epoch) as epoch_span:
                 for batch in batches:
-                    step_start = clock() if profile is not None else 0.0
-                    with traced(tracer, "step"):
+                    tokens = int(batch.tgt_mask.sum())
+                    with traced(tracer, "step", tokens=tokens):
                         optimizer.zero_grad()
                         loss = model.loss(batch)
                         loss.backward(free_graph=config.fused)
                         optimizer.step()
-                    tokens = int(batch.tgt_mask.sum())
                     epoch_loss += loss.item() * tokens
                     epoch_tokens += tokens
-                    if profile is not None:
-                        profile.observe_step(clock() - step_start, tokens)
                 epoch_loss /= max(epoch_tokens, 1)
                 result.train_losses.append(epoch_loss)
                 val_loss: Optional[float] = None
@@ -145,20 +137,6 @@ def train_model(
                             model, val_set, config.batch_size
                         )
                     result.val_losses.append(val_loss)
-                if profile is not None:
-                    epoch_seconds = clock() - epoch_start
-                    profile.observe_epoch(
-                        epoch,
-                        epoch_seconds,
-                        epoch_tokens,
-                        len(batches),
-                        epoch_loss,
-                        val_loss,
-                    )
-                    epoch_span.set_attribute(
-                        "tokens_per_sec",
-                        epoch_tokens / epoch_seconds if epoch_seconds > 0 else 0.0,
-                    )
                 epoch_span.set_attributes(
                     {
                         "tokens": epoch_tokens,
@@ -190,3 +168,31 @@ def train_model(
     if best_state is not None:
         model.load_state_dict(best_state)
     return result
+
+
+def train_profile(spans) -> dict:
+    """The ``train --profile`` report of a :func:`train_model` run traced
+    into ``SpanAggregator(keep=("epoch",))``.
+
+    Tokens and ``train_seconds`` come from the ``step`` spans (optimizer
+    steps only, so ``tokens_per_sec`` excludes validation); each epoch
+    row is one ``epoch`` span, validation included.
+    """
+    steps = spans.get("step")
+    tokens = int(steps.sums.get("tokens", 0))
+    epochs = []
+    for record in spans.kept("epoch"):
+        row = record["attributes"]
+        elapsed = record["duration_ms"] / 1000.0
+        epochs.append({
+            "epoch": row["epoch"], "seconds": elapsed, "tokens": row["tokens"],
+            "steps": row["steps"],
+            "tokens_per_sec": row["tokens"] / elapsed if elapsed > 0 else 0.0,
+            "train_loss": row["train_loss"], "val_loss": row["val_loss"],
+        })
+    seconds = steps.seconds
+    return {
+        "tokens": tokens, "steps": steps.calls, "train_seconds": seconds,
+        "tokens_per_sec": tokens / seconds if seconds > 0 else 0.0,
+        "step_ms": steps.durations.summary(), "epochs": epochs,
+    }

@@ -7,7 +7,8 @@ benchmark build (``build_nvbench``), the training loop
 ingress, propagated through micro-batch coalescing, returned as the
 ``X-Trace-Id`` response header) — and exports finished spans as JSONL.
 ``python -m repro trace summarize`` renders an export as a span tree
-with per-stage latency breakdowns.
+with per-stage latency breakdowns; ``--profile`` reports are per-name
+totals a :class:`SpanAggregator` folds from the same spans.
 
 Everything is stdlib-only and zero-overhead when disabled: every
 instrumented entry point takes ``tracer=None``, and a disabled tracer
@@ -15,6 +16,7 @@ returns a shared no-op span.  See ``docs/OBSERVABILITY.md`` for the
 span model, the exporter format, and worked examples.
 """
 
+from repro.obs.aggregate import SpanAggregator
 from repro.obs.export import (
     InMemoryExporter,
     JsonlExporter,
@@ -38,6 +40,7 @@ __all__ = [
     "NOOP_SPAN",
     "NullExporter",
     "Span",
+    "SpanAggregator",
     "SpanContext",
     "SpanNode",
     "Tracer",

@@ -8,13 +8,16 @@ CLI wrapper over :func:`summarize`.  Two views:
   repeated siblings (e.g. one ``pair`` span per corpus pair) collapse
   into one ``name ×N`` line so a 500-pair build stays readable;
 * the **stage table** — per-name call counts, total/mean/max latency,
-  and error counts across the whole export, the flat complement the
-  :class:`~repro.perf.BuildProfiler` report gives for profiled runs.
+  and error counts across the whole export, read from the same
+  :class:`~repro.obs.aggregate.SpanAggregator` that computes the
+  ``--profile`` reports of the build and training runs.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
+
+from repro.obs.aggregate import SpanAggregator
 
 
 class SpanNode:
@@ -124,22 +127,10 @@ def _render_level(
 
 def stage_table(records: List[dict]) -> List[Dict[str, object]]:
     """Per-name latency aggregate rows, sorted by total time descending."""
-    stats: Dict[str, Dict[str, object]] = {}
+    spans = SpanAggregator()
     for record in records:
-        row = stats.setdefault(
-            record.get("name", ""),
-            {"name": record.get("name", ""), "calls": 0, "total_ms": 0.0,
-             "max_ms": 0.0, "errors": 0},
-        )
-        duration = float(record.get("duration_ms") or 0.0)
-        row["calls"] += 1
-        row["total_ms"] += duration
-        row["max_ms"] = max(row["max_ms"], duration)
-        row["errors"] += 1 if record.get("status") == "error" else 0
-    rows = sorted(stats.values(), key=lambda row: -row["total_ms"])
-    for row in rows:
-        row["mean_ms"] = row["total_ms"] / row["calls"] if row["calls"] else 0.0
-    return rows
+        spans.export(record)
+    return spans.rows()
 
 
 def render_stage_table(rows: List[Dict[str, object]]) -> str:

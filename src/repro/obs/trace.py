@@ -8,7 +8,7 @@ and an ``ok``/``error`` status; parent/child links are carried by
 trace can cross process boundaries (the parallel build ships a context
 into each pool worker and merges the returned spans deterministically).
 
-Design rules, mirroring :mod:`repro.perf`:
+Design rules:
 
 * **stdlib only** — no OpenTelemetry; the span schema is documented in
   ``docs/OBSERVABILITY.md`` and written as JSONL by
@@ -415,9 +415,8 @@ def traced(
 ) -> Iterator[Union[Span, _NoopSpan]]:
     """``tracer.span(...)`` that tolerates ``tracer=None``.
 
-    The tracing sibling of :func:`repro.perf.profiler.stage` — every
-    instrumented entry point calls this so an untraced run never touches
-    the tracing machinery.
+    Every instrumented entry point calls this so an untraced run never
+    touches the tracing machinery.
     """
     if tracer is None or not tracer.enabled:
         yield NOOP_SPAN

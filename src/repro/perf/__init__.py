@@ -1,9 +1,5 @@
-"""Performance layer: build/train profiling, execution caching, histograms.
-
-See ``docs/PERFORMANCE.md`` for the profiler APIs, the execution-cache
-semantics, and how to read the ``BENCH_build.json`` /
-``BENCH_train.json`` trajectories; ``docs/SERVING.md`` covers the
-histogram-backed serving metrics.
+"""Performance layer: the windowed histograms behind the serving metrics
+(``docs/SERVING.md``) and the span aggregator's duration distributions.
 """
 
 from repro.perf.histogram import (
@@ -12,16 +8,10 @@ from repro.perf.histogram import (
     Histogram,
     merge_summaries,
 )
-from repro.perf.profiler import BuildProfiler, StageStats, stage
-from repro.perf.train import TrainProfiler
 
 __all__ = [
     "BATCH_SIZE_BUCKETS",
-    "BuildProfiler",
     "Histogram",
     "LATENCY_BUCKETS_MS",
-    "StageStats",
-    "TrainProfiler",
     "merge_summaries",
-    "stage",
 ]

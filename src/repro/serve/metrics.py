@@ -1,24 +1,20 @@
 """Request metrics for the inference server.
 
-Counters ride on a :class:`~repro.perf.BuildProfiler` (the same
-counter/stage vocabulary the build pipeline uses, so ``/metrics`` output
-reads like a ``BENCH_build.json`` profile); latency and batch-size
-distributions use :class:`~repro.perf.Histogram`.  Everything is
-thread-safe: the event loop observes request latencies while executor
-threads observe batch sizes.
+Counters are a plain name → count map, and the one timed stage (the
+shared ``model_forward`` pass) reports ``calls``/``seconds`` like a
+build ``--profile`` stage; latency and batch-size distributions use
+:class:`~repro.perf.Histogram`.  Everything is thread-safe: the event
+loop observes request latencies while executor threads observe batch
+sizes.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Dict, Optional
 
-from repro.perf import (
-    BATCH_SIZE_BUCKETS,
-    LATENCY_BUCKETS_MS,
-    BuildProfiler,
-    Histogram,
-)
+from repro.perf import BATCH_SIZE_BUCKETS, LATENCY_BUCKETS_MS, Histogram
 
 
 class ServeMetrics:
@@ -27,7 +23,9 @@ class ServeMetrics:
     def __init__(self, clock=time.perf_counter):
         self._clock = clock
         self._started = clock()
-        self.profiler = BuildProfiler(clock)
+        self._lock = threading.Lock()
+        self.counters: Dict[str, int] = {}
+        self._forward = {"calls": 0, "seconds": 0.0}
         self.latency_ms = Histogram(LATENCY_BUCKETS_MS)
         self.batch_sizes = Histogram(BATCH_SIZE_BUCKETS)
 
@@ -35,20 +33,23 @@ class ServeMetrics:
 
     def observe_request(self, status: int, seconds: float) -> None:
         """Record one finished HTTP request (any endpoint outcome)."""
-        self.profiler.count("requests_total")
-        self.profiler.count(f"requests_{status}")
+        self.count("requests_total")
+        self.count(f"requests_{status}")
         self.latency_ms.observe(seconds * 1000.0)
 
     def observe_batch(self, size: int, seconds: float) -> None:
         """Record one model forward pass over *size* coalesced requests."""
-        self.profiler.count("batches_total")
-        self.profiler.count("batched_requests", size)
-        self.profiler.record("model_forward", seconds)
+        self.count("batches_total")
+        self.count("batched_requests", size)
+        with self._lock:
+            self._forward["calls"] += 1
+            self._forward["seconds"] += seconds
         self.batch_sizes.observe(size)
 
     def count(self, name: str, amount: int = 1) -> None:
         """Increment a free-form counter (cache hits, drops, ...)."""
-        self.profiler.count(name, amount)
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + amount
 
     # ----- reporting ---------------------------------------------------
 
@@ -67,13 +68,15 @@ class ServeMetrics:
         encoder_cache=None,
     ) -> Dict[str, object]:
         """The full ``/metrics`` document."""
-        counters = self.profiler.report()
+        with self._lock:
+            counters = dict(sorted(self.counters.items()))
+            forward = dict(self._forward)
         batches = self.batch_sizes.summary()
-        total = counters["counters"].get("batched_requests", 0)
+        total = counters.get("batched_requests", 0)
         report: Dict[str, object] = {
             "uptime_seconds": self.uptime,
-            "counters": counters["counters"],
-            "stages": counters["stages"],
+            "counters": counters,
+            "stages": {"model_forward": forward} if forward["calls"] else {},
             "latency_ms": self.latency_ms.summary(),
             "batch_size": batches,
             "avg_batch_size": (

@@ -14,8 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.nvbench import NVBenchConfig, build_nvbench, load_nvbench_dir
-from repro.perf import BuildProfiler
+from repro.core.nvbench import (
+    NVBenchConfig,
+    build_nvbench,
+    build_profile,
+    load_nvbench_dir,
+)
+from repro.obs import SpanAggregator, Tracer
 from repro.spider.corpus import CorpusConfig, build_spider_corpus
 
 
@@ -39,6 +44,13 @@ def _stream_config(use_cache: bool = True) -> NVBenchConfig:
         ),
         filter_training_pairs=12, use_cache=use_cache, seed=3,
     )
+
+
+def _profiled(**kwargs):
+    """``(bench, --profile report)`` of one ``build_nvbench(**kwargs)``."""
+    spans = SpanAggregator()
+    bench = build_nvbench(tracer=Tracer(exporter=spans), **kwargs)
+    return bench, build_profile(spans)
 
 
 def _dir_digest(root) -> str:
@@ -84,9 +96,7 @@ class TestBuildDeterminism:
 
 class TestBuildProfile:
     def test_serial_profile_has_stages_and_cache_counters(self, tiny_corpus):
-        profiler = BuildProfiler()
-        build_nvbench(corpus=tiny_corpus, config=_config(), profiler=profiler)
-        report = profiler.report()
+        _, report = _profiled(corpus=tiny_corpus, config=_config())
         for name in ("filter_train", "synthesize", "featurize", "score"):
             assert name in report["stages"]
             assert report["stages"][name]["calls"] >= 1
@@ -96,22 +106,71 @@ class TestBuildProfile:
         assert report["counters"]["execution_cache_misses"] > 0
 
     def test_parallel_profile_merges_worker_reports(self, tiny_corpus):
-        profiler = BuildProfiler()
-        build_nvbench(
-            corpus=tiny_corpus, config=_config(), workers=2, profiler=profiler
-        )
-        report = profiler.report()
+        _, report = _profiled(corpus=tiny_corpus, config=_config(), workers=2)
         assert report["stages"]["featurize"]["calls"] >= 1
         assert report["counters"]["candidates_enumerated"] > 0
 
     def test_profile_json_roundtrip(self, tiny_corpus, tmp_path):
         import json
 
-        profiler = BuildProfiler()
-        build_nvbench(corpus=tiny_corpus, config=_config(), profiler=profiler)
+        _, report = _profiled(corpus=tiny_corpus, config=_config())
         path = tmp_path / "profile.json"
-        written = profiler.write_json(str(path))
-        assert json.loads(path.read_text()) == written
+        path.write_text(json.dumps(report, indent=2))
+        assert json.loads(path.read_text()) == report
+
+    @pytest.mark.parametrize("mode", ["streamed", "corpus"])
+    def test_sharded_serial_and_parallel_counters_match(
+        self, tiny_corpus, tmp_path, mode
+    ):
+        # Pool workers start from the journal's entries for their
+        # database, so a sharded build counts the same cache hits too.
+        source = (
+            {"config": _stream_config(), "stream": True} if mode == "streamed"
+            else {"corpus": tiny_corpus, "config": _config()}
+        )
+        _, serial = _profiled(out=str(tmp_path / "serial"), **source)
+        _, parallel = _profiled(
+            out=str(tmp_path / "parallel"), workers=2, **source
+        )
+        assert serial["counters"]["shards_built"] == 3
+        assert parallel["counters"] == serial["counters"]
+        assert {name: stage["calls"] for name, stage in parallel["stages"].items()} \
+            == {name: stage["calls"] for name, stage in serial["stages"].items()}
+
+    def test_in_memory_serial_and_parallel_counters_match(self, tiny_corpus):
+        # In-memory pool workers start with empty caches, so only the
+        # execution-cache counts may differ from the serial build.
+        _, serial = _profiled(corpus=tiny_corpus, config=_config())
+        _, parallel = _profiled(corpus=tiny_corpus, config=_config(), workers=2)
+
+        def without_cache(counters):
+            return {name: value for name, value in counters.items()
+                    if not name.startswith("execution_cache_")}
+
+        assert without_cache(parallel["counters"]) == \
+            without_cache(serial["counters"])
+        assert serial["counters"]["resident_pairs_peak"] > 0
+
+    def test_untraced_traced_and_profiled_builds_write_identical_files(
+        self, tiny_corpus, tmp_path
+    ):
+        from repro.obs import JsonlExporter
+
+        build_nvbench(
+            corpus=tiny_corpus, config=_config(), out=str(tmp_path / "plain")
+        )
+        exporter = JsonlExporter(str(tmp_path / "trace.jsonl"))
+        build_nvbench(
+            corpus=tiny_corpus, config=_config(), out=str(tmp_path / "traced"),
+            tracer=Tracer(exporter=exporter),
+        )
+        exporter.close()
+        _profiled(
+            corpus=tiny_corpus, config=_config(), out=str(tmp_path / "profiled")
+        )
+        reference = _dir_digest(tmp_path / "plain")
+        assert _dir_digest(tmp_path / "traced") == reference
+        assert _dir_digest(tmp_path / "profiled") == reference
 
 
 class _StopBuild(Exception):
@@ -161,12 +220,11 @@ class TestShardedDeterminismMatrix:
         full = load_nvbench_dir(str(tmp_path / "fresh"))
         assert 0 < len(partial.pairs) < len(full.pairs)
 
-        profiler = BuildProfiler()
-        build_nvbench(
+        _, report = _profiled(
             config=_stream_config(), stream=True,
-            out=str(tmp_path / "killed"), resume=True, profiler=profiler,
+            out=str(tmp_path / "killed"), resume=True,
         )
-        counters = profiler.report()["counters"]
+        counters = report["counters"]
         assert counters["shards_skipped_clean"] >= 1
         assert counters["shards_built"] >= 1
         assert _dir_digest(tmp_path / "killed") == \
@@ -200,14 +258,58 @@ class TestResumeAndCorruption:
     def test_clean_resume_skips_every_shard(self, tiny_corpus, tmp_path):
         out = str(tmp_path / "dir")
         build_nvbench(corpus=tiny_corpus, config=_config(), out=out)
-        profiler = BuildProfiler()
-        build_nvbench(
+        _, report = _profiled(
             corpus=tiny_corpus, config=_config(), out=out, resume=True,
-            profiler=profiler,
         )
-        counters = profiler.report()["counters"]
+        counters = report["counters"]
         assert counters["shards_skipped_clean"] == counters["shards_total"]
         assert "shards_built" not in counters
+
+    def test_clean_resume_saves_manifest_once(
+        self, tiny_corpus, tmp_path, monkeypatch
+    ):
+        from repro.storage.shards import ShardStore
+
+        out = str(tmp_path / "dir")
+        build_nvbench(corpus=tiny_corpus, config=_config(), out=out)
+        saves = []
+        original = ShardStore.save_manifest
+
+        def counting(store, manifest):
+            saves.append(len(manifest.entries))
+            original(store, manifest)
+
+        monkeypatch.setattr(ShardStore, "save_manifest", counting)
+        build_nvbench(corpus=tiny_corpus, config=_config(), out=out, resume=True)
+        assert saves == [len(tiny_corpus.databases)]
+
+    def test_failed_rebuild_keeps_every_previous_entry(
+        self, tiny_corpus, tmp_path, monkeypatch
+    ):
+        import json
+
+        from repro.storage.shards import ShardStore
+
+        out = tmp_path / "dir"
+        build_nvbench(corpus=tiny_corpus, config=_config(), out=str(out))
+        manifest_path = out / "manifest.json"
+        before = json.loads(manifest_path.read_text())["databases"]
+        victim = sorted((out / "shards").glob("*.jsonl"))[-1]
+        victim.write_text("truncated mid-write")
+
+        def crash(store, db_name, records):
+            raise _StopBuild(db_name)
+
+        monkeypatch.setattr(ShardStore, "write_shard", crash)
+        with pytest.raises(_StopBuild):
+            # skips the clean shards, then dies rebuilding the dirty one
+            build_nvbench(
+                corpus=tiny_corpus, config=_config(), out=str(out),
+                resume=True,
+            )
+        after = json.loads(manifest_path.read_text())["databases"]
+        assert [entry["name"] for entry in after] == \
+            [entry["name"] for entry in before]
 
     def test_truncated_shard_is_rebuilt_not_merged(self, tiny_corpus, tmp_path):
         out = tmp_path / "dir"
@@ -217,12 +319,10 @@ class TestResumeAndCorruption:
         lines = victim.read_text().splitlines(keepends=True)
         victim.write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
 
-        profiler = BuildProfiler()
-        resumed = build_nvbench(
+        resumed, report = _profiled(
             corpus=tiny_corpus, config=_config(), out=str(out), resume=True,
-            profiler=profiler,
         )
-        counters = profiler.report()["counters"]
+        counters = report["counters"]
         assert counters["shards_rebuilt_dirty"] == 1
         assert counters["shards_built"] == 1
         assert counters["shards_skipped_clean"] == counters["shards_total"] - 1
@@ -247,12 +347,10 @@ class TestResumeAndCorruption:
         changed = NVBenchConfig(
             filter_training_pairs=12, use_cache=True, seed=4
         )
-        profiler = BuildProfiler()
-        build_nvbench(
+        _, report = _profiled(
             corpus=tiny_corpus, config=changed, out=out, resume=True,
-            profiler=profiler,
         )
-        counters = profiler.report()["counters"]
+        counters = report["counters"]
         assert "shards_skipped_clean" not in counters
         assert counters["shards_built"] == counters["shards_total"]
 
@@ -265,11 +363,10 @@ class TestPersistentCache:
         assert journal.is_file() and journal.stat().st_size > 0
 
         # force a rebuild (no resume) — the journal survives and preloads
-        profiler = BuildProfiler()
-        rebuilt = build_nvbench(
-            corpus=tiny_corpus, config=_config(), out=out, profiler=profiler
+        rebuilt, report = _profiled(
+            corpus=tiny_corpus, config=_config(), out=out
         )
-        counters = profiler.report()["counters"]
+        counters = report["counters"]
         assert counters["cache_journal_preloaded"] > 0
         assert counters["cache_journal_corrupt"] == 0
         fresh = build_nvbench(corpus=tiny_corpus, config=_config())
@@ -287,11 +384,10 @@ class TestPersistentCache:
             "not json at all\n" + tampered + "".join(good[1:]) +
             good[-1][: len(good[-1]) // 2]
         )
-        profiler = BuildProfiler()
-        rebuilt = build_nvbench(
-            corpus=tiny_corpus, config=_config(), out=out, profiler=profiler
+        rebuilt, report = _profiled(
+            corpus=tiny_corpus, config=_config(), out=out
         )
-        counters = profiler.report()["counters"]
+        counters = report["counters"]
         assert counters["cache_journal_corrupt"] >= 2
         assert counters["cache_journal_preloaded"] > 0
         fresh = build_nvbench(corpus=tiny_corpus, config=_config())
@@ -300,12 +396,10 @@ class TestPersistentCache:
     def test_parallel_build_reuses_journal(self, tiny_corpus, tmp_path):
         out = str(tmp_path / "dir")
         build_nvbench(corpus=tiny_corpus, config=_config(), out=out)
-        profiler = BuildProfiler()
-        build_nvbench(
+        _, report = _profiled(
             corpus=tiny_corpus, config=_config(), out=out, workers=2,
-            profiler=profiler,
         )
-        counters = profiler.report()["counters"]
+        counters = report["counters"]
         assert counters["cache_journal_preloaded"] > 0
         # workers were pre-seeded, so they hit instead of re-executing
         assert counters["execution_cache_hits"] > 0

@@ -1,5 +1,7 @@
 """Tests for model persistence and the command-line interface."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -209,3 +211,75 @@ class TestShardedCLI:
         assert code == 0
         out = capsys.readouterr().out
         assert "1 database shards" in out
+
+
+class TestProfileContract:
+    """The JSON documents ``--profile`` writes for a build and a training
+    run: their keys, stage names, and shard counters."""
+
+    BUILD = ["build-benchmark", "--databases", "2", "--pairs-per-db", "3",
+             "--row-scale", "0.3", "--seed", "3"]
+
+    def test_build_profile_fresh_and_resumed(self, tmp_path, capsys):
+        bench_dir = str(tmp_path / "bench_dir")
+        fresh_path = tmp_path / "fresh.json"
+        resumed_path = tmp_path / "resumed.json"
+        assert main(self.BUILD + ["--out", bench_dir,
+                                  "--profile", str(fresh_path)]) == 0
+        assert main(self.BUILD + ["--out", bench_dir, "--resume",
+                                  "--profile", str(resumed_path)]) == 0
+        capsys.readouterr()
+        fresh = json.loads(fresh_path.read_text())
+        resumed = json.loads(resumed_path.read_text())
+
+        for report in (fresh, resumed):
+            assert set(report) == {"total_seconds", "stages", "counters"}
+            assert report["total_seconds"] > 0.0
+            for name in ("corpus_build", "filter_train", "synthesize"):
+                assert set(report["stages"][name]) == {"calls", "seconds"}
+                assert report["stages"][name]["calls"] >= 1
+        for name in ("candidates", "featurize", "score", "select"):
+            assert set(fresh["stages"][name]) == {"calls", "seconds"}
+            assert fresh["stages"][name]["calls"] >= 1
+            assert fresh["stages"][name]["seconds"] >= 0.0
+
+        built = fresh["counters"]
+        assert built["shards_total"] == 2
+        assert built["shards_built"] == built["shards_total"]
+        skipped = resumed["counters"]
+        assert skipped["shards_skipped_clean"] == skipped["shards_total"]
+
+    def test_train_profile(self, tmp_path, capsys):
+        corpus_path = str(tmp_path / "corpus.json")
+        pairs_path = str(tmp_path / "bench.json")
+        profile_path = tmp_path / "train_profile.json"
+        main(["build-corpus", "--databases", "2", "--pairs-per-db", "4",
+              "--row-scale", "0.3", "--seed", "6", "--out", corpus_path])
+        main(["build-benchmark", "--corpus", corpus_path, "--out", pairs_path])
+        code = main([
+            "train", "--corpus", corpus_path, "--pairs", pairs_path,
+            "--variant", "basic", "--epochs", "2", "--embed-dim", "12",
+            "--hidden-dim", "16", "--out", str(tmp_path / "model"),
+            "--profile", str(profile_path),
+        ])
+        assert code == 0
+        assert "tokens/sec" in capsys.readouterr().out
+
+        report = json.loads(profile_path.read_text())
+        assert set(report) == {
+            "tokens", "steps", "train_seconds", "tokens_per_sec",
+            "step_ms", "epochs",
+        }
+        assert report["tokens"] > 0
+        assert report["steps"] > 0
+        assert report["step_ms"]["count"] == report["steps"]
+        assert report["tokens_per_sec"] > 0.0
+        assert 1 <= len(report["epochs"]) <= 2
+        for number, row in enumerate(report["epochs"]):
+            assert set(row) == {
+                "epoch", "seconds", "tokens", "steps", "tokens_per_sec",
+                "train_loss", "val_loss",
+            }
+            assert row["epoch"] == number
+        assert sum(row["tokens"] for row in report["epochs"]) == report["tokens"]
+        assert sum(row["steps"] for row in report["epochs"]) == report["steps"]

@@ -41,6 +41,23 @@ class TestCandidateGeneration:
             for candidate in generate_candidates(pair.query, db):
                 validate_query(candidate.vis)
 
+    def test_measure_first_select_never_aggregates_time(self, flight_db):
+        from repro.core.vis_rules import validate_chart
+
+        for sql in (
+            "SELECT price, departure_date FROM flight",
+            "SELECT departure_date, price FROM flight",
+        ):
+            query = parse_sql(sql, flight_db)
+            candidates = generate_candidates(query, flight_db)
+            assert any(c.vis.vis_type == "line" for c in candidates)
+            for candidate in candidates:
+                codes = [
+                    violation.code for violation in
+                    validate_chart(candidate.vis, flight_db).violations
+                ]
+                assert "bad-aggregate" not in codes, candidate.vis
+
     def test_filter_subtree_is_invariant(self, flight_db):
         query = parse_sql(
             "SELECT origin, price FROM flight WHERE price > 200", flight_db

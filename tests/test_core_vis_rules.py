@@ -93,6 +93,21 @@ class TestArrangeAxes:
         )
         assert axes[2].column == "kind"
 
+    def test_binned_charts_bin_time_even_when_measure_comes_first(self):
+        # Q-first select lists must still bin the T column and leave the
+        # Q column as the measure Table 1 aggregates.
+        for vis_type in ("bar", "line", "pie"):
+            spec = [
+                s for s in chart_specs_for(["Q", "T"])
+                if s.vis_type == vis_type and s.x_group == GROUP_BINNING
+            ][0]
+            for ordered in (
+                [(_attr("price"), "Q"), (_attr("day"), "T")],
+                [(_attr("day"), "T"), (_attr("price"), "Q")],
+            ):
+                axes = arrange_axes(ordered, spec)
+                assert [a.column for a in axes] == ["day", "price"], vis_type
+
     def test_grouping_line_time_x_category_color(self):
         spec = [s for s in chart_specs_for(["T", "Q", "C"]) if s.vis_type == "grouping line"][0]
         axes = arrange_axes(

@@ -22,6 +22,7 @@ from repro.obs import (
     NOOP_SPAN,
     InMemoryExporter,
     JsonlExporter,
+    SpanAggregator,
     SpanContext,
     Tracer,
     load_spans,
@@ -290,6 +291,104 @@ class TestSummarize:
         ]
         text = summarize(records, max_traces=2)
         assert "6 more trace(s) omitted" in text
+
+
+def _deep_size(root) -> int:
+    """Bytes reachable from *root*, each object counted once."""
+    import sys
+    from collections import deque
+
+    seen, total, stack = set(), 0, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, deque)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.append(vars(obj))
+        elif hasattr(type(obj), "__slots__"):
+            stack.extend(getattr(obj, slot) for slot in type(obj).__slots__
+                         if hasattr(obj, slot))
+    return total
+
+
+def _pair_span(index: int, name: str = "pair", status: str = "ok") -> dict:
+    return {
+        "name": name, "duration_ms": 0.25 + index % 7, "status": status,
+        "attributes": {"index": index, "pairs_out": 2, "db": f"db{index}",
+                       "mode": True},
+        "events": [],
+    }
+
+
+class TestSpanAggregator:
+    def test_folds_calls_seconds_errors_and_numeric_attributes(self):
+        spans = SpanAggregator()
+        spans.export(_pair_span(0))
+        spans.export(_pair_span(1, status="error"))
+        spans.export(_pair_span(2, name="select"))
+        pair = spans.get("pair")
+        assert pair.calls == 2
+        assert pair.seconds == pytest.approx((0.25 + 1.25) / 1000.0)
+        assert pair.errors == 1
+        # strings and booleans are not summed
+        assert pair.sums == {"index": 1, "pairs_out": 4}
+        assert spans.get("absent").calls == 0
+        assert spans.counters(["pairs_out", "absent"]) == {"pairs_out": 6}
+
+    def test_state_is_bounded_by_distinct_span_names(self):
+        spans = SpanAggregator()
+        names = ("pair", "featurize", "score")
+
+        def feed(start: int, count: int) -> None:
+            for index in range(start, start + count):
+                spans.export(_pair_span(index, name=names[index % 3]))
+
+        feed(0, 30_000)
+        size = _deep_size(spans)
+        feed(30_000, 30_000)
+        assert set(spans.stages()) == set(names)
+        assert [spans.get(name).calls for name in names] == [20_000] * 3
+        for name in names:
+            assert set(spans.get(name).sums) == {"index", "pairs_out"}
+        # 30,000 more spans grow only the magnitude of the running sums
+        assert _deep_size(spans) - size < 256
+
+    def test_kept_names_retain_records_in_finish_order(self):
+        spans = SpanAggregator(keep=("epoch",))
+        tracer = Tracer(exporter=spans)
+        for epoch in range(3):
+            with tracer.span("epoch", epoch=epoch):
+                with tracer.span("step"):
+                    pass
+        assert [r["attributes"]["epoch"] for r in spans.kept("epoch")] == [0, 1, 2]
+        with pytest.raises(KeyError):
+            spans.kept("step")
+
+    def test_forwards_every_record_downstream(self, tmp_path):
+        exporter = JsonlExporter(str(tmp_path / "spans.jsonl"))
+        spans = SpanAggregator(downstream=exporter)
+        tracer = Tracer(exporter=spans)
+        for _ in range(3):
+            with tracer.span("work", items=2):
+                pass
+        spans.close()
+        records = load_spans(str(tmp_path / "spans.jsonl"))
+        assert [r["name"] for r in records] == ["work"] * 3
+        assert spans.get("work").sums == {"items": 6}
+
+    def test_stage_table_rows_come_from_the_aggregator(self):
+        records = [_pair_span(i, name="ab"[i % 2]) for i in range(10)]
+        spans = SpanAggregator()
+        for record in records:
+            spans.export(record)
+        assert stage_table(records) == spans.rows()
 
 
 class TestBuildTracing:
@@ -592,6 +691,28 @@ class TestTraceCLI:
         assert "build_nvbench" in output
         assert "shard ×3" in output
         assert "stage breakdown" in output
+
+    def test_profile_and_trace_share_one_tracer(self, tmp_path, capsys):
+        from repro.cli import main
+
+        trace_path = tmp_path / "build.jsonl"
+        profile_path = tmp_path / "profile.json"
+        assert main([
+            "build-benchmark", "--databases", "2", "--pairs-per-db", "3",
+            "--row-scale", "0.3", "--seed", "3", "--out", str(tmp_path / "b.json"),
+            "--trace", str(trace_path), "--profile", str(profile_path),
+        ]) == 0
+        capsys.readouterr()
+        records = load_spans(str(trace_path))
+        report = json.loads(profile_path.read_text())
+        calls = {}
+        for record in records:
+            calls[record["name"]] = calls.get(record["name"], 0) + 1
+        assert {name: stage["calls"] for name, stage in report["stages"].items()} \
+            == calls
+        kept = sum(r["attributes"]["candidates_kept"]
+                   for r in _by_name(records, "select"))
+        assert report["counters"]["candidates_kept"] == kept
 
     def test_summarize_missing_file(self, tmp_path, capsys):
         from repro.cli import main

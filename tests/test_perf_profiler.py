@@ -1,4 +1,5 @@
-"""Unit tests for the perf layer: profiler, execution cache, batch scoring."""
+"""Unit tests for the perf layer: span-derived build profiles, execution
+cache, batch scoring."""
 
 from __future__ import annotations
 
@@ -10,8 +11,9 @@ from repro.core.filter_model import (
     extract_features,
     train_filter_from_candidates,
 )
+from repro.core.nvbench import build_profile
 from repro.core.tree_edits import generate_candidates
-from repro.perf import BuildProfiler, stage
+from repro.obs import SpanAggregator, Tracer, render_stage_table
 from repro.sqlparse.parser import parse_sql
 from repro.storage.executor import ExecutionCache, ExecutionError, Executor
 
@@ -25,49 +27,56 @@ class FakeClock:
 
 
 class TestBuildProfiler:
+    """The build ``--profile`` report, folded from spans as they finish."""
+
+    def _tracer(self, clock=None):
+        spans = SpanAggregator()
+        return spans, Tracer(exporter=spans, clock=clock or FakeClock())
+
     def test_stage_accumulates_time_and_calls(self):
         clock = FakeClock()
-        profiler = BuildProfiler(clock=clock)
-        for _ in range(3):
-            with profiler.stage("work"):
-                clock.now += 0.5
-        report = profiler.report()
+        spans, tracer = self._tracer(clock)
+        with tracer.span("build_nvbench"):
+            for _ in range(3):
+                with tracer.span("work"):
+                    clock.now += 0.5
+        report = build_profile(spans)
         assert report["stages"]["work"] == {"calls": 3, "seconds": 1.5}
         assert report["total_seconds"] == 1.5
 
     def test_stage_records_on_exception(self):
         clock = FakeClock()
-        profiler = BuildProfiler(clock=clock)
+        spans, tracer = self._tracer(clock)
         with pytest.raises(ValueError):
-            with profiler.stage("boom"):
+            with tracer.span("boom"):
                 clock.now += 1.0
                 raise ValueError("x")
-        assert profiler.stages["boom"].seconds == 1.0
+        assert spans.get("boom").seconds == 1.0
+        assert spans.get("boom").errors == 1
 
     def test_counters_and_merge(self):
-        first = BuildProfiler(clock=FakeClock())
-        first.count("hits", 2)
-        first.record("run", 1.0)
-        second = BuildProfiler(clock=FakeClock())
-        second.count("hits", 3)
-        second.record("run", 2.0, calls=4)
-        first.merge_report(second.report())
-        assert first.counters["hits"] == 5
-        assert first.stages["run"].calls == 5
-        assert first.stages["run"].seconds == 3.0
-
-    def test_null_profiler_stage_helper(self):
-        # Must be a no-op, not an error.
-        with stage(None, "anything"):
+        # A pool worker's buffered spans count once absorbed.
+        spans, tracer = self._tracer()
+        with tracer.span("select", candidates_kept=2):
             pass
+        worker = Tracer(clock=FakeClock())
+        with worker.span("select", candidates_kept=3):
+            pass
+        with worker.span("shard", execution_cache_hits=4, db="flights"):
+            pass
+        tracer.absorb(worker.finished())
+        report = build_profile(spans)
+        assert report["counters"] == {
+            "candidates_kept": 5, "execution_cache_hits": 4,
+        }
+        assert report["stages"]["select"]["calls"] == 2
 
     def test_summary_mentions_stages(self):
-        profiler = BuildProfiler(clock=FakeClock())
-        profiler.record("synthesize", 2.0)
-        profiler.count("cache_hits", 7)
-        text = profiler.summary()
+        spans, tracer = self._tracer()
+        tracer.record("synthesize", duration_s=2.0, shards_built=7)
+        text = render_stage_table(spans.rows())
         assert "synthesize" in text
-        assert "cache_hits" in text
+        assert build_profile(spans)["counters"] == {"shards_built": 7}
 
 
 class TestExecutionCache:

@@ -1,10 +1,13 @@
-"""Edge cases for :class:`repro.perf.Histogram` and the profiler JSON
-report schemas.
+"""Edge cases for :class:`repro.perf.Histogram` and the ``--profile``
+JSON report schemas.
 
 The histogram backs every latency/batch-size metric surface and the
-profiler reports are the on-disk contract of ``--profile`` and the
-``BENCH_*.json`` trajectories — their shapes are asserted here so a
-refactor cannot silently change what downstream tooling parses.
+profile reports (computed from spans by
+:func:`repro.core.nvbench.build_profile` and
+:func:`repro.neural.trainer.train_profile`) are the on-disk contract of
+``--profile`` and the ``BENCH_*.json`` trajectories — their shapes are
+asserted here so a refactor cannot silently change what downstream
+tooling parses.
 """
 
 from __future__ import annotations
@@ -13,7 +16,15 @@ import json
 
 import pytest
 
-from repro.perf import BuildProfiler, Histogram, TrainProfiler
+from repro.core.nvbench import build_profile
+from repro.neural.trainer import train_profile
+from repro.obs import SpanAggregator, Tracer
+from repro.perf import Histogram
+
+
+def _spans(keep=()):
+    spans = SpanAggregator(keep=keep)
+    return spans, Tracer(exporter=spans)
 
 
 class TestHistogramEdgeCases:
@@ -75,11 +86,11 @@ class TestHistogramEdgeCases:
 
 class TestBuildProfilerReportSchema:
     def test_report_shape(self):
-        profiler = BuildProfiler()
-        with profiler.stage("synthesize"):
-            pass
-        profiler.count("execution_cache_hits", 3)
-        report = profiler.report()
+        spans, tracer = _spans()
+        with tracer.span("build_nvbench", execution_cache_hits=3):
+            with tracer.span("synthesize"):
+                pass
+        report = build_profile(spans)
         assert set(report) == {"total_seconds", "stages", "counters"}
         assert set(report["stages"]["synthesize"]) == {"calls", "seconds"}
         assert report["stages"]["synthesize"]["calls"] == 1
@@ -87,30 +98,35 @@ class TestBuildProfilerReportSchema:
         assert report["total_seconds"] >= 0.0
 
     def test_write_json_round_trips(self, tmp_path):
-        profiler = BuildProfiler()
-        with profiler.stage("featurize"):
+        spans, tracer = _spans()
+        with tracer.span("featurize"):
             pass
+        report = build_profile(spans)
         path = tmp_path / "profile.json"
-        written = profiler.write_json(str(path))
-        assert json.loads(path.read_text()) == json.loads(json.dumps(written))
+        path.write_text(json.dumps(report, indent=2))
+        assert json.loads(path.read_text()) == json.loads(json.dumps(report))
 
     def test_stages_and_counters_are_sorted(self):
-        profiler = BuildProfiler()
-        for name in ("zeta", "alpha", "midway"):
-            profiler.record(name, 0.01)
-            profiler.count(name)
-        report = profiler.report()
+        spans, tracer = _spans()
+        for name, counter in (("zeta", "shards_total"),
+                              ("alpha", "cache_journal_corrupt"),
+                              ("midway", "execution_cache_hits")):
+            tracer.record(name, duration_s=0.01, **{counter: 1})
+        report = build_profile(spans)
         assert list(report["stages"]) == ["alpha", "midway", "zeta"]
-        assert list(report["counters"]) == ["alpha", "midway", "zeta"]
+        assert list(report["counters"]) == [
+            "cache_journal_corrupt", "execution_cache_hits", "shards_total",
+        ]
 
 
 class TestTrainProfilerReportSchema:
     def test_report_shape(self):
-        profiler = TrainProfiler()
-        profiler.observe_step(0.01, 100)
-        profiler.observe_step(0.01, 120)
-        profiler.observe_epoch(0, 0.02, 220, 2, 1.5, 1.2)
-        report = profiler.report()
+        spans, tracer = _spans(keep=("epoch",))
+        tracer.record("step", duration_s=0.01, tokens=100)
+        tracer.record("step", duration_s=0.01, tokens=120)
+        tracer.record("epoch", duration_s=0.02, epoch=0, tokens=220, steps=2,
+                      train_loss=1.5, val_loss=1.2)
+        report = train_profile(spans)
         assert set(report) == {
             "tokens", "steps", "train_seconds", "tokens_per_sec",
             "step_ms", "epochs",
@@ -118,25 +134,29 @@ class TestTrainProfilerReportSchema:
         assert report["tokens"] == 220
         assert report["steps"] == 2
         assert report["step_ms"]["count"] == 2
+        assert report["tokens_per_sec"] == pytest.approx(220 / 0.02)
         (epoch,) = report["epochs"]
         assert set(epoch) == {
             "epoch", "seconds", "tokens", "steps", "tokens_per_sec",
             "train_loss", "val_loss",
         }
         assert epoch["val_loss"] == 1.2
+        assert epoch["tokens_per_sec"] == pytest.approx(220 / 0.02)
 
     def test_report_is_json_serializable(self, tmp_path):
-        profiler = TrainProfiler()
-        profiler.observe_step(0.005, 64)
-        profiler.observe_epoch(0, 0.005, 64, 1, 2.0, None)
+        spans, tracer = _spans(keep=("epoch",))
+        tracer.record("step", duration_s=0.005, tokens=64)
+        tracer.record("epoch", duration_s=0.005, epoch=0, tokens=64, steps=1,
+                      train_loss=2.0, val_loss=None)
         path = tmp_path / "train.json"
-        profiler.write_json(str(path))
+        path.write_text(json.dumps(train_profile(spans), indent=2))
         loaded = json.loads(path.read_text())
         assert loaded["epochs"][0]["val_loss"] is None
         assert loaded["tokens_per_sec"] > 0.0
 
     def test_empty_profiler_reports_zeros(self):
-        report = TrainProfiler().report()
+        spans, _ = _spans(keep=("epoch",))
+        report = train_profile(spans)
         assert report["tokens"] == 0
         assert report["steps"] == 0
         assert report["tokens_per_sec"] == 0.0
