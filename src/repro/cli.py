@@ -437,13 +437,34 @@ def _cmd_judge(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    """``serve``: one :class:`~repro.serve.InferenceServer`, or with
+    ``--workers N`` (N > 1) a :class:`~repro.serve.WorkerPool` front over
+    N forked decode workers.
+
+    Both shapes take models through the same ``load_npz`` /
+    ``register_baselines`` / ``set_default`` calls and run one
+    start/serve/drain coroutine.  Under ``--workers N`` the ``--trace``
+    argument names a **directory**: the front writes ``front.jsonl`` and
+    each worker ``worker-N.jsonl``, and ``repro trace summarize DIR``
+    stitches them into one tree.
+    """
     import asyncio
 
-    from repro.serve import InferenceServer, ModelRegistry, ServerConfig
+    from repro.serve import (
+        InferenceServer, ModelRegistry, PoolConfig, ServerConfig,
+        UnknownModelError, WorkerPool,
+    )
 
     if args.workers < 1:
         print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2
+    checkpoints = {}
+    for spec in args.model or []:
+        name, _, path = spec.partition("=")
+        if not name or not path:
+            print(f"--model wants NAME=PATH, got {spec!r}", file=sys.stderr)
+            return 2
+        checkpoints[name] = path
     corpus = load_corpus(args.corpus)
     config = ServerConfig(
         host=args.host,
@@ -457,122 +478,70 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_format=args.format,
         default_beam_width=args.beam_width,
     )
-    if args.workers > 1:
-        return _serve_pool(args, corpus, config)
+    pool = args.workers > 1
+    trace = args.trace
+    if pool and trace:  # a directory: front.jsonl plus worker-N.jsonl
+        trace = str(Path(trace) / "front.jsonl")
+    tracer, exporter = _open_tracer(trace)
+    if pool:
+        server = registry = WorkerPool(
+            corpus.databases,
+            PoolConfig(
+                workers=args.workers,
+                host=args.host,
+                port=args.port,
+                worker=config,
+                warm=args.warm,
+                trace_dir=args.trace,
+            ),
+            tracer=tracer,
+        )
+    else:
+        registry = ModelRegistry()
+        server = InferenceServer(
+            registry, corpus.databases, config=config, tracer=tracer
+        )
 
-    registry = ModelRegistry()
-    for spec in args.model or []:
-        name, _, path = spec.partition("=")
-        if not name or not path:
-            print(f"--model wants NAME=PATH, got {spec!r}", file=sys.stderr)
-            return 2
-        registry.load_npz(name, path, precision=args.precision)
-    if args.baselines or not len(registry):
-        registry.register_baselines()
-    if args.default:
+    async def _main() -> int:
+        # Every exit, Ctrl-C included, drains: the pool's workers stop
+        # and its shared weight segments are unlinked.
         try:
-            registry.set_default(args.default)
-        except KeyError:
-            print(f"unknown default model {args.default!r}; "
-                  f"registered: {registry.names()}", file=sys.stderr)
-            return 2
-    if args.warm:
-        for name, seconds in registry.warm(corpus.databases).items():
-            print(f"warmed {name} in {seconds * 1000:.1f} ms")
-
-    tracer, exporter = _open_tracer(args.trace)
-    server = InferenceServer(
-        registry, corpus.databases, config=config, tracer=tracer
-    )
-
-    async def _main() -> None:
-        host, port = await server.start()
-        print(f"serving {registry.names()} on http://{host}:{port} "
-              f"(batch<={config.max_batch_size}, flush {args.flush_ms}ms, "
-              f"queue {config.max_queue_depth})")
-        try:
-            await server._server.serve_forever()
+            for name, path in checkpoints.items():
+                registry.load_npz(name, path, precision=args.precision)
+            if args.baselines or not checkpoints:
+                registry.register_baselines()
+            if args.default:
+                try:
+                    registry.set_default(args.default)
+                except UnknownModelError as exc:
+                    print(f"--default: {exc.args[0]}", file=sys.stderr)
+                    return 2
+            if args.warm and not pool:  # pool workers warm themselves
+                for name, seconds in registry.warm(corpus.databases).items():
+                    print(f"warmed {name} in {seconds * 1000:.1f} ms")
+            await server.start()
+            print(f"serving on {server.url} with {args.workers} "
+                  f"decode worker(s) (batch<={config.max_batch_size} per "
+                  f"worker, flush {args.flush_ms}ms, "
+                  f"queue {config.max_queue_depth})")
+            await asyncio.Event().wait()
         except asyncio.CancelledError:
             pass
         finally:
-            # Runs inside the same loop on Ctrl-C: drain, then exit.
             await server.shutdown()
+        return 0
 
     try:
-        asyncio.run(_main())
+        status = asyncio.run(_main())
     except KeyboardInterrupt:
-        # Pre-3.11 asyncio delivers Ctrl-C as a plain KeyboardInterrupt;
-        # 3.11+ cancels _main instead, which drains via its finally and
-        # returns here normally.
-        pass
-    _close_tracer(exporter, args.trace)
-    print("server drained; bye")
-    return 0
-
-
-def _serve_pool(args: argparse.Namespace, corpus, config) -> int:
-    """``serve --workers N`` (N > 1): the multi-process front/worker pool.
-
-    With ``--trace`` the argument names a **directory**: the front
-    writes ``front.jsonl`` and each worker ``worker-N.jsonl``, and
-    ``repro trace summarize DIR`` stitches them into one tree.
-    """
-    import asyncio
-
-    from repro.serve import PoolConfig, WorkerPool
-
-    tracer = exporter = None
-    if args.trace:
-        from repro.obs import JsonlExporter, Tracer
-
-        Path(args.trace).mkdir(parents=True, exist_ok=True)
-        exporter = JsonlExporter(Path(args.trace) / "front.jsonl")
-        tracer = Tracer(exporter=exporter)
-
-    pool = WorkerPool(
-        corpus.databases,
-        PoolConfig(
-            workers=args.workers,
-            host=args.host,
-            port=args.port,
-            worker=config,
-            warm=args.warm,
-            trace_dir=args.trace,
-        ),
-        tracer=tracer,
-    )
-    models = 0
-    for spec in args.model or []:
-        name, _, path = spec.partition("=")
-        if not name or not path:
-            print(f"--model wants NAME=PATH, got {spec!r}", file=sys.stderr)
-            return 2
-        pool.load_npz(name, path, precision=args.precision)
-        models += 1
-    if args.baselines or not models:
-        pool.register_baselines()
-    if args.default:
-        pool.set_default(args.default)
-
-    async def _main() -> None:
-        host, port = await pool.start()
-        print(f"serving on http://{host}:{port} with {args.workers} decode "
-              f"workers (shared weights; batch<={config.max_batch_size} "
-              f"per worker, flush {args.flush_ms}ms)")
-        try:
-            await pool._server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await pool.shutdown()
-
-    try:
-        asyncio.run(_main())
-    except KeyboardInterrupt:
-        pass
-    _close_tracer(exporter, args.trace and str(Path(args.trace) / "front.jsonl"))
-    print("pool drained; bye")
-    return 0
+        # Pre-3.11 asyncio delivers Ctrl-C as a plain KeyboardInterrupt
+        # (after draining through _main's finally); 3.11+ cancels _main
+        # instead, which returns here normally.
+        status = 0
+    _close_tracer(exporter, trace)
+    if status == 0:
+        print("drained; bye")
+    return status
 
 
 def _cmd_trace_summarize(args: argparse.Namespace) -> int:

@@ -544,8 +544,9 @@ def _run_units_pooled(
     """Fan pending units over a process pool; merge in unit order.
 
     Each worker gets its own execution cache — pre-seeded with the
-    coordinator cache's entries for its database, so a persistent
-    journal still pays off across processes — and (when tracing) a
+    coordinator cache's entries for its database, so neither the filter
+    training's executions nor a persistent journal's are repeated in a
+    worker — and (when tracing) a
     buffering tracer parented to the ``synthesize`` span; the
     coordinator absorbs spans, cache entries, and pairs in submission
     order, so all three are deterministic regardless of worker
@@ -555,9 +556,9 @@ def _run_units_pooled(
     trace_context = context.to_dict() if context is not None else None
     tasks = []
     for unit in pending:
-        seed_entries = []
-        if isinstance(cache, PersistentExecutionCache):
-            seed_entries = cache.entries_for_db(unit.db_name)
+        seed_entries = (
+            cache.entries_for_db(unit.db_name) if cache is not None else []
+        )
         tasks.append((
             unit, keys[unit.db_name], chart_filter, config, cache is not None,
             seed_entries, trace_context,

@@ -38,13 +38,14 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import functools
 import json
 import multiprocessing
 import os
 import signal
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.neural.shared import (
     SharedManifest,
@@ -52,14 +53,15 @@ from repro.neural.shared import (
     share_model,
     shared_segments_report,
 )
-from repro.obs.trace import SpanContext, Tracer, traced
+from repro.obs.trace import Tracer
 from repro.perf import merge_summaries
 from repro.serve.metrics import ServeMetrics
+from repro.serve.registry import UnknownModelError
 from repro.serve.server import (
     ServerConfig,
     _HTTPError,
-    read_http_request,
-    write_http_response,
+    read_http_headers,
+    serve_connection,
 )
 from repro.storage.schema import Database
 
@@ -194,7 +196,19 @@ class WorkerPool:
         self._baselines = True
 
     def set_default(self, name: str) -> None:
-        """Default model for requests that do not name one."""
+        """Default model for requests that do not name one.
+
+        Like :meth:`ModelRegistry.set_default`, *name* must already be
+        served: a shared model, or a baseline once
+        :meth:`register_baselines` has been called.
+        """
+        from repro.baselines import BASELINES
+
+        served = set(self._shared) | set(BASELINES if self._baselines else ())
+        if name not in served:
+            raise UnknownModelError(
+                f"unknown model {name!r}; registered: {sorted(served)}"
+            )
         self._default = name
 
     # ----- lifecycle ------------------------------------------------------
@@ -211,7 +225,12 @@ class WorkerPool:
             *(self._await_ready(handle) for handle in self._workers)
         )
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+            functools.partial(
+                serve_connection, handle=self._route, span_name="front.request",
+                tracer=self.tracer, metrics=self.metrics,
+                max_body_bytes=self.config.worker.max_body_bytes,
+            ),
+            self.config.host, self.config.port,
         )
         self.host, self.port = self._server.sockets[0].getsockname()[:2]
         self._supervisor = asyncio.ensure_future(self._supervise())
@@ -259,16 +278,6 @@ class WorkerPool:
         for shared in self._shared.values():
             shared.destroy()
         self._shared.clear()
-
-    async def run(self) -> None:
-        """Start and serve until cancelled, then shut down."""
-        await self.start()
-        try:
-            await self._server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await self.shutdown()
 
     @property
     def url(self) -> str:
@@ -390,90 +399,17 @@ class WorkerPool:
 
     # ----- request path ---------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                request = await read_http_request(
-                    reader, self.config.worker.max_body_bytes
-                )
-                if request is None:
-                    break
-                method, target, headers, body = request
-                start = self._loop.time()
-                inbound = headers.get("x-trace-id")
-                parent = (
-                    SpanContext(
-                        trace_id=inbound,
-                        span_id=headers.get("x-parent-span", ""),
-                    )
-                    if inbound else None
-                )
-                with traced(
-                    self.tracer,
-                    "front.request",
-                    parent=parent,
-                    method=method,
-                    target=target.split("?", 1)[0],
-                ) as span:
-                    try:
-                        status, payload, extra = await self._route(
-                            method, target, body, span
-                        )
-                    except _HTTPError as exc:
-                        status = exc.status
-                        payload = json.dumps({"error": str(exc)}).encode()
-                        extra = {}
-                        if status >= 500:
-                            span.set_error(exc)
-                    except Exception as exc:  # noqa: BLE001 - keep serving
-                        status = 500
-                        payload = json.dumps(
-                            {"error": f"front error: {exc}"}
-                        ).encode()
-                        extra = {}
-                        span.set_error(exc)
-                    span.set_attribute("status", status)
-                    if span.trace_id:
-                        extra = {**extra, "X-Trace-Id": span.trace_id}
-                self.metrics.observe_request(
-                    status, self._loop.time() - start
-                )
-                keep_alive = (
-                    headers.get("connection", "keep-alive").lower() != "close"
-                )
-                write_http_response(
-                    writer, status, payload, keep_alive, extra
-                )
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-            BrokenPipeError,
-        ):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
     async def _route(
         self, method: str, target: str, body: bytes, span
-    ) -> Tuple[int, bytes, Dict[str, str]]:
+    ) -> Tuple[int, Union[dict, bytes], Dict[str, str]]:
         path = target.split("?", 1)[0]
-        if path == "/healthz":
+        # Pre-encoded, as bytes pass the connection loop untouched: the
+        # pool's own documents carry no latency_ms or trace_id field.
+        if path in ("/healthz", "/metrics"):
             if method != "GET":
-                raise _HTTPError(405, "healthz only supports GET")
-            return 200, json.dumps(await self._healthz()).encode(), {}
-        if path == "/metrics":
-            if method != "GET":
-                raise _HTTPError(405, "metrics only supports GET")
-            return 200, json.dumps(await self._metrics()).encode(), {}
+                raise _HTTPError(405, f"{path} only supports GET")
+            fetch = self._healthz if path == "/healthz" else self._metrics
+            return 200, json.dumps(await fetch()).encode(), {}
         if path in ("/translate", "/pipeline"):
             if method != "POST":
                 raise _HTTPError(405, f"{path} only supports POST")
@@ -482,7 +418,7 @@ class WorkerPool:
 
     async def _forward(
         self, method: str, path: str, body: bytes, span
-    ) -> Tuple[int, bytes, Dict[str, str]]:
+    ) -> Tuple[int, Union[dict, bytes], Dict[str, str]]:
         """Route one request to a worker, re-queueing on broken workers.
 
         Only connection-level failures retry (refused, reset, truncated
@@ -521,11 +457,7 @@ class WorkerPool:
                 handle.inflight -= 1
         detail = f": {last_error}" if last_error else ""
         self.metrics.count("front_unrouted")
-        return (
-            503,
-            json.dumps({"error": f"no worker available{detail}"}).encode(),
-            {},
-        )
+        return 503, {"error": f"no worker available{detail}"}, {}
 
     async def _proxy_once(
         self,
@@ -555,13 +487,7 @@ class WorkerPool:
             if not status_line:
                 raise ConnectionResetError("worker closed before replying")
             status = int(status_line.split()[1])
-            response_headers: Dict[str, str] = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                response_headers[name.strip().lower()] = value.strip()
+            response_headers = await read_http_headers(reader)
             length = int(response_headers.get("content-length", "0") or "0")
             payload = await reader.readexactly(length) if length else b""
             return status, payload
@@ -609,17 +535,22 @@ class WorkerPool:
 
     # ----- telemetry ------------------------------------------------------
 
-    async def _healthz(self) -> dict:
-        """Per-worker liveness + queue depth, plus the weights doc."""
-        docs = await asyncio.gather(
+    async def _worker_docs(self, path: str) -> List[dict]:
+        """Every worker's ``GET path`` document, in worker order; a
+        worker that is not serving reports an ``error`` instead."""
+        return await asyncio.gather(
             *(
-                self._worker_get(handle, "/healthz")
+                self._worker_get(handle, path)
                 if handle.state in (READY, DRAINING)
                 and handle.process.is_alive()
                 else _absent(handle)
                 for handle in self._workers
             )
         )
+
+    async def _healthz(self) -> dict:
+        """Per-worker liveness + queue depth, plus the weights doc."""
+        docs = await self._worker_docs("/healthz")
         workers = []
         for handle, doc in zip(self._workers, docs):
             entry = handle.describe()
@@ -653,15 +584,7 @@ class WorkerPool:
 
     async def _metrics(self) -> dict:
         """Front report + per-worker reports + exact-merge aggregates."""
-        docs = await asyncio.gather(
-            *(
-                self._worker_get(handle, "/metrics")
-                if handle.state in (READY, DRAINING)
-                and handle.process.is_alive()
-                else _absent(handle)
-                for handle in self._workers
-            )
-        )
+        docs = await self._worker_docs("/metrics")
         per_worker: Dict[str, dict] = {}
         counters: Dict[str, float] = {}
         latency, batches = [], []

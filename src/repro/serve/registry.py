@@ -279,7 +279,9 @@ class ModelRegistry:
         """Point the default at an already-registered model."""
         with self._lock:
             if name not in self._models:
-                raise UnknownModelError(f"unknown model {name!r}")
+                raise UnknownModelError(
+                    f"unknown model {name!r}; registered: {sorted(self._models)}"
+                )
             self._default = name
 
     def get(self, name: Optional[str] = None) -> Translator:

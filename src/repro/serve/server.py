@@ -24,9 +24,10 @@ before the socket closes.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Awaitable, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.obs.trace import SpanContext, Tracer, traced
 from repro.serve.batcher import MicroBatcher, QueueFullError, ServerDrainingError
@@ -90,33 +91,49 @@ class _HTTPError(Exception):
 # helpers are the one implementation both use.
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One line; 400 when it overruns the stream's line-length limit."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise _HTTPError(400, "request or header line too long") from None
+
+
+async def read_http_headers(reader: asyncio.StreamReader) -> Dict[str, str]:
+    """Read header lines up to the blank line; names lower-cased."""
+    headers: Dict[str, str] = {}
+    while True:
+        line = await _read_line(reader)
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+
+
 async def read_http_request(
     reader: asyncio.StreamReader, max_body_bytes: int
 ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
     """Read one request; ``None`` on a cleanly closed connection.
 
     Returns ``(method, target, lower-cased headers, body)``.  Raises
-    :class:`_HTTPError` on malformed framing or an oversized body.
+    :class:`_HTTPError` on malformed framing (400) or an oversized body
+    (413).
     """
-    request_line = await reader.readline()
+    request_line = await _read_line(reader)
     if not request_line:
         return None
     parts = request_line.decode("latin-1").strip().split()
     if len(parts) != 3 or not parts[2].startswith("HTTP/"):
         raise _HTTPError(400, f"malformed request line: {parts!r}")
     method, target = parts[0].upper(), parts[1]
-    headers: Dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
+    headers = await read_http_headers(reader)
     length_text = headers.get("content-length", "0") or "0"
     try:
         length = int(length_text)
     except ValueError:
-        raise _HTTPError(400, f"bad Content-Length: {length_text!r}") from None
+        length = -1
+    if length < 0:
+        raise _HTTPError(400, f"bad Content-Length: {length_text!r}")
     if length > max_body_bytes:
         raise _HTTPError(413, f"body of {length} bytes exceeds limit")
     body = await reader.readexactly(length) if length else b""
@@ -141,6 +158,120 @@ def write_http_response(
     lines.append(f"Connection: {'keep-alive' if keep_alive else 'close'}")
     head = "\r\n".join(lines) + "\r\n\r\n"
     writer.write(head.encode("latin-1") + body)
+
+
+async def serve_connection(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    handle: Callable[..., Awaitable[Tuple[int, Union[dict, bytes], dict]]],
+    *,
+    span_name: str,
+    tracer: Optional[Tracer],
+    metrics: ServeMetrics,
+    max_body_bytes: int,
+) -> None:
+    """Answer requests on one keep-alive connection until it closes.
+
+    The one request loop of the server and the pool front.  Each request
+    runs ``handle(method, target, body, span)`` → ``(status, payload,
+    extra headers)`` inside a *span_name* span, joined to the caller's
+    trace when it sends ``x-trace-id`` (and nested under its span when
+    it also sends ``x-parent-span``), and is counted in *metrics*.  A
+    dict payload goes out as JSON with ``latency_ms`` (on 200) and
+    ``trace_id`` added; a bytes payload (a relayed worker reply) goes
+    out verbatim.  A request that cannot be framed gets its 400/413
+    here, and the connection closes, since the rest of its bytes cannot
+    be trusted.
+    """
+    loop = asyncio.get_running_loop()
+    try:
+        while True:
+            try:
+                request = await read_http_request(reader, max_body_bytes)
+            except _HTTPError as exc:
+                body = json.dumps({"error": str(exc)}).encode("utf-8")
+                write_http_response(writer, exc.status, body, keep_alive=False)
+                await writer.drain()
+                break
+            if request is None:
+                break
+            method, target, headers, body = request
+            start = loop.time()
+            inbound = headers.get("x-trace-id")
+            parent = (
+                SpanContext(
+                    trace_id=inbound, span_id=headers.get("x-parent-span", "")
+                )
+                if inbound else None
+            )
+            with traced(
+                tracer, span_name, parent=parent, method=method,
+                target=target.split("?", 1)[0],
+            ) as span:
+                try:
+                    status, payload, extra = await handle(
+                        method, target, body, span
+                    )
+                except _HTTPError as exc:
+                    status, payload, extra = exc.status, {"error": str(exc)}, {}
+                    if status >= 500:
+                        span.set_error(exc)
+                except Exception as exc:  # noqa: BLE001 - 500, keep serving
+                    status, extra = 500, {}
+                    payload = {"error": f"internal error: {exc}"}
+                    span.set_error(exc)
+                span.set_attribute("status", status)
+                trace_id = span.trace_id
+            elapsed = loop.time() - start
+            metrics.observe_request(status, elapsed)
+            if isinstance(payload, dict):
+                if status == 200:
+                    payload.setdefault("latency_ms", elapsed * 1000.0)
+                if trace_id is not None:
+                    payload["trace_id"] = trace_id
+                payload = json.dumps(payload).encode("utf-8")
+            if trace_id:
+                extra = {**extra, "X-Trace-Id": trace_id}
+            keep_alive = (
+                headers.get("connection", "keep-alive").lower() != "close"
+            )
+            write_http_response(writer, status, payload, keep_alive, extra)
+            await writer.drain()
+            if not keep_alive:
+                break
+    except (
+        asyncio.IncompleteReadError,
+        ConnectionResetError,
+        BrokenPipeError,
+    ):
+        pass
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+
+
+def _json_object(body: bytes) -> dict:
+    """A request body that must be one JSON object (400 otherwise)."""
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise _HTTPError(400, f"body is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise _HTTPError(400, "body must be a JSON object")
+    return payload
+
+
+def _bounded_int(payload: dict, name: str, default: int, high: int) -> int:
+    """Request field *name* (or *default*): an integer in ``[1, high]``."""
+    value = payload.get(name, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise _HTTPError(400, f"'{name}' must be an integer")
+    if not 1 <= value <= high:
+        raise _HTTPError(400, f"'{name}' must be in [1, {high}], got {value}")
+    return value
 
 
 class InferenceServer:
@@ -217,7 +348,12 @@ class InferenceServer:
         """Bind the socket and launch the batcher; returns (host, port)."""
         await self.batcher.start()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+            functools.partial(
+                serve_connection, handle=self._route, span_name="http.request",
+                tracer=self.tracer, metrics=self.metrics,
+                max_body_bytes=self.config.max_body_bytes,
+            ),
+            self.config.host, self.config.port,
         )
         self.host, self.port = self._server.sockets[0].getsockname()[:2]
         return self.host, self.port
@@ -230,16 +366,6 @@ class InferenceServer:
         if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-
-    async def run(self) -> None:
-        """Start and serve until cancelled, then drain."""
-        await self.start()
-        try:
-            await self._server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await self.shutdown()
 
     @property
     def url(self) -> str:
@@ -268,107 +394,16 @@ class InferenceServer:
             model_name=model_name,
         )
 
-    # ----- connection handling -----------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                request = await read_http_request(
-                    reader, self.config.max_body_bytes
-                )
-                if request is None:
-                    break
-                method, target, headers, body = request
-                loop = asyncio.get_running_loop()
-                start = loop.time()
-                # A bare inbound x-trace-id (no span id) roots this
-                # request's span in the caller's existing trace; when
-                # the pool front also forwards its own span id in
-                # x-parent-span, the worker span nests under it so
-                # `trace summarize DIR` stitches front→worker→decode.
-                inbound = headers.get("x-trace-id")
-                parent = (
-                    SpanContext(
-                        trace_id=inbound,
-                        span_id=headers.get("x-parent-span", ""),
-                    )
-                    if inbound else None
-                )
-                with traced(
-                    self.tracer,
-                    "http.request",
-                    parent=parent,
-                    method=method,
-                    target=target.split("?", 1)[0],
-                ) as span:
-                    try:
-                        status, payload = await self._route(
-                            method, target, body, span
-                        )
-                    except _HTTPError as exc:
-                        status, payload = exc.status, {"error": str(exc)}
-                        if status >= 500:
-                            span.set_error(exc)
-                    except Exception as exc:  # noqa: BLE001 - 500, keep serving
-                        status, payload = 500, {
-                            "error": f"internal error: {exc}"
-                        }
-                        span.set_error(exc)
-                    span.set_attribute("status", status)
-                    trace_id = span.trace_id
-                elapsed = loop.time() - start
-                self.metrics.observe_request(status, elapsed)
-                if isinstance(payload, dict):
-                    if status == 200:
-                        payload.setdefault("latency_ms", elapsed * 1000.0)
-                    if trace_id is not None:
-                        payload["trace_id"] = trace_id
-                keep_alive = (
-                    headers.get("connection", "keep-alive").lower() != "close"
-                )
-                self._write_response(
-                    writer, status, payload, keep_alive, trace_id=trace_id
-                )
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-            BrokenPipeError,
-        ):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    @staticmethod
-    def _write_response(
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: dict,
-        keep_alive: bool,
-        trace_id: Optional[str] = None,
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        extra = {"X-Trace-Id": trace_id} if trace_id else None
-        write_http_response(writer, status, body, keep_alive, extra)
-
     # ----- routing ------------------------------------------------------
 
     async def _route(
         self, method: str, target: str, body: bytes, span
-    ) -> Tuple[int, dict]:
+    ) -> Tuple[int, dict, Dict[str, str]]:
         path = target.split("?", 1)[0]
         if path == "/healthz":
             if method != "GET":
                 raise _HTTPError(405, "healthz only supports GET")
-            return 200, self._healthz()
+            return 200, self._healthz(), {}
         if path == "/metrics":
             if method != "GET":
                 raise _HTTPError(405, "metrics only supports GET")
@@ -379,22 +414,23 @@ class InferenceServer:
                 queue_depth=self.batcher.depth,
                 queue_capacity=self.config.max_queue_depth,
                 tracer=self.tracer,
-            )
+            ), {}
         if path == "/translate":
             if method != "POST":
                 raise _HTTPError(405, "translate only supports POST")
-            return await self._translate(body, span)
+            return 200, await self._translate(body, span), {}
         if path == "/pipeline":
             if method != "POST":
                 raise _HTTPError(405, "pipeline only supports POST")
-            return await self._pipeline(body, span)
+            return 200, await self._pipeline(body, span), {}
         if path.startswith("/control/"):
             if method != "POST":
                 raise _HTTPError(405, "control only supports POST")
-            return await self._control(path[len("/control/"):], body, span)
+            action = path[len("/control/"):]
+            return 200, await self._control(action, body, span), {}
         raise _HTTPError(404, f"no such endpoint: {path}")
 
-    async def _control(self, action: str, body: bytes, span) -> Tuple[int, dict]:
+    async def _control(self, action: str, body: bytes, span) -> dict:
         """Pool-internal control plane: swap weights, drop caches.
 
         Only actions wired in via ``control_handlers`` exist; a plain
@@ -405,17 +441,12 @@ class InferenceServer:
         handler = self.control_handlers.get(action)
         if handler is None:
             raise _HTTPError(404, f"no such control action: {action!r}")
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _HTTPError(400, f"body is not valid JSON: {exc}") from None
-        if not isinstance(payload, dict):
-            raise _HTTPError(400, "body must be a JSON object")
+        payload = _json_object(body) if body else {}
         span.set_attribute("action", action)
         result = await asyncio.get_running_loop().run_in_executor(
             None, lambda: handler(payload)
         )
-        return 200, dict(result or {})
+        return dict(result or {})
 
     def _healthz(self) -> dict:
         doc = {
@@ -432,27 +463,28 @@ class InferenceServer:
             doc.update(self.health_extra())
         return doc
 
-    async def _translate(self, body: bytes, span) -> Tuple[int, dict]:
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _HTTPError(400, f"body is not valid JSON: {exc}") from None
-        if not isinstance(payload, dict):
-            raise _HTTPError(400, "body must be a JSON object")
+    def _question_db_model(
+        self, payload: dict, db_required: bool
+    ) -> Tuple[str, Optional[str], str]:
+        """A request's checked ``(question, db name, model name)``.
 
+        ``db`` may be omitted only when not *db_required* (``/pipeline``
+        then routes the question); a named database must be served here,
+        and the model (named, or the registry default) must be registered.
+        """
         question = payload.get("question")
         if not isinstance(question, str) or not question.strip():
             raise _HTTPError(400, "missing or empty 'question'")
         db_name = payload.get("db")
-        if not isinstance(db_name, str) or not db_name:
-            raise _HTTPError(400, "missing 'db'")
-        database = self.databases.get(db_name)
-        if database is None:
-            raise _HTTPError(
-                404,
-                f"unknown database {db_name!r}; choices: "
-                f"{sorted(self.databases)[:10]}",
-            )
+        if db_required or db_name is not None:
+            if not isinstance(db_name, str) or not db_name:
+                raise _HTTPError(400, "'db' must be a non-empty string")
+            if db_name not in self.databases:
+                raise _HTTPError(
+                    404,
+                    f"unknown database {db_name!r}; choices: "
+                    f"{sorted(self.databases)[:10]}",
+                )
         model_name = payload.get("model") or self.registry.default_model
         if model_name is None or model_name not in self.registry:
             raise _HTTPError(
@@ -460,6 +492,14 @@ class InferenceServer:
                 f"unknown model {model_name!r}; registered: "
                 f"{self.registry.names()}",
             )
+        return question, db_name, model_name
+
+    async def _translate(self, body: bytes, span) -> dict:
+        payload = _json_object(body)
+        question, db_name, model_name = self._question_db_model(
+            payload, db_required=True
+        )
+        database = self.databases[db_name]
         fmt = payload.get("format") or self.config.default_format
         if fmt not in FORMATS:
             raise _HTTPError(
@@ -477,7 +517,7 @@ class InferenceServer:
             cached = self.response_cache.get(cache_key)
             if cached is not None:
                 self.metrics.count("response_cache_hits")
-                return 200, {**cached, "cached": True}
+                return {**cached, "cached": True}
             self.metrics.count("response_cache_misses")
 
         try:
@@ -530,9 +570,9 @@ class InferenceServer:
         }
         if use_cache:
             self.response_cache.put(cache_key, dict(response))
-        return 200, response
+        return response
 
-    async def _pipeline(self, body: bytes, span) -> Tuple[int, dict]:
+    async def _pipeline(self, body: bytes, span) -> dict:
         """Run the staged copilot for one question.
 
         Unlike ``/translate`` this path skips the micro-batcher — the
@@ -543,41 +583,11 @@ class InferenceServer:
         """
         from repro.pipeline import Budget, Generator, Pipeline
 
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _HTTPError(400, f"body is not valid JSON: {exc}") from None
-        if not isinstance(payload, dict):
-            raise _HTTPError(400, "body must be a JSON object")
-
-        question = payload.get("question")
-        if not isinstance(question, str) or not question.strip():
-            raise _HTTPError(400, "missing or empty 'question'")
-        db_name = payload.get("db")
-        if db_name is not None:
-            if not isinstance(db_name, str) or not db_name:
-                raise _HTTPError(400, "'db' must be a non-empty string")
-            if db_name not in self.databases:
-                raise _HTTPError(
-                    404,
-                    f"unknown database {db_name!r}; choices: "
-                    f"{sorted(self.databases)[:10]}",
-                )
-        model_name = payload.get("model") or self.registry.default_model
-        if model_name is None or model_name not in self.registry:
-            raise _HTTPError(
-                404,
-                f"unknown model {model_name!r}; registered: "
-                f"{self.registry.names()}",
-            )
-        k = payload.get("k", 3)
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise _HTTPError(400, "'k' must be an integer")
-        if not 1 <= k <= self.config.max_candidates:
-            raise _HTTPError(
-                400,
-                f"'k' must be in [1, {self.config.max_candidates}], got {k}",
-            )
+        payload = _json_object(body)
+        question, db_name, model_name = self._question_db_model(
+            payload, db_required=False
+        )
+        k = _bounded_int(payload, "k", 3, self.config.max_candidates)
         budget_ms = payload.get("budget_ms")
         if budget_ms is not None and (
             not isinstance(budget_ms, (int, float))
@@ -621,7 +631,7 @@ class InferenceServer:
                 None, lambda: self._judge_charts(result)
             )
             self.metrics.count("pipeline_judged")
-        return 200, response
+        return response
 
     def _judge_charts(self, result) -> List[dict]:
         """Gold-free verdicts for each returned chart (``"judge": true``).
@@ -648,24 +658,13 @@ class InferenceServer:
 
     def _decode_config(self, payload: dict) -> DecodeConfig:
         """Per-request decode settings, validated against config caps."""
-        beam_width = payload.get("beam_width", self.config.default_beam_width)
-        if not isinstance(beam_width, int) or isinstance(beam_width, bool):
-            raise _HTTPError(400, "'beam_width' must be an integer")
-        if not 1 <= beam_width <= self.config.max_beam_width:
-            raise _HTTPError(
-                400,
-                f"'beam_width' must be in [1, {self.config.max_beam_width}], "
-                f"got {beam_width}",
-            )
-        candidates = payload.get("candidates", 1)
-        if not isinstance(candidates, int) or isinstance(candidates, bool):
-            raise _HTTPError(400, "'candidates' must be an integer")
-        if not 1 <= candidates <= self.config.max_candidates:
-            raise _HTTPError(
-                400,
-                f"'candidates' must be in [1, {self.config.max_candidates}], "
-                f"got {candidates}",
-            )
+        beam_width = _bounded_int(
+            payload, "beam_width", self.config.default_beam_width,
+            self.config.max_beam_width,
+        )
+        candidates = _bounded_int(
+            payload, "candidates", 1, self.config.max_candidates
+        )
         if candidates > beam_width:
             raise _HTTPError(
                 400,

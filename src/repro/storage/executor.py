@@ -103,6 +103,15 @@ class ExecutionCache:
         with self._lock:
             return self.hits, self.misses
 
+    def entries_for_db(self, db_name: str) -> List[Tuple[tuple, Tuple[str, object]]]:
+        """All entries keyed under one database (worker pre-seeding)."""
+        with self._lock:
+            return [
+                (key, entry)
+                for key, entry in self._entries.items()
+                if key[0] == db_name
+            ]
+
     def fetch(self, key: tuple) -> Optional[Tuple[str, object]]:
         """The raw cached entry for *key*, counting a hit when present."""
         with self._lock:

@@ -141,17 +141,6 @@ class PersistentExecutionCache(ExecutionCache):
                     added += 1
         return added
 
-    # -- sharing with workers -------------------------------------------
-
-    def entries_for_db(self, db_name: str) -> List[Tuple[tuple, Tuple[str, object]]]:
-        """All entries keyed under one database (worker pre-seeding)."""
-        with self._lock:
-            return [
-                (key, entry)
-                for key, entry in self._entries.items()
-                if key[0] == db_name
-            ]
-
     # -- persistence ----------------------------------------------------
 
     def flush(self) -> int:

@@ -3,11 +3,34 @@ corpora so individual tests stay fast."""
 
 from __future__ import annotations
 
+import socket
+
 import pytest
 
 from repro.core.nvbench import NVBenchConfig, build_nvbench
+from repro.serve import ServerConfig
 from repro.spider.corpus import CorpusConfig, build_spider_corpus
 from repro.storage.schema import Column, Database, ForeignKey, Table
+
+#: Requests whose HTTP framing cannot be read, with the status the
+#: server (or pool front) must answer before it closes the connection.
+MALFORMED_FRAMING = {
+    "request-line": (b"GARBAGE\r\n\r\n", 400),
+    "length-not-a-number": (
+        b"POST /translate HTTP/1.1\r\nContent-Length: ten\r\n\r\n", 400
+    ),
+    "negative-length": (
+        b"POST /translate HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400
+    ),
+    "oversized-body": (
+        b"POST /translate HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+        % (ServerConfig().max_body_bytes + 1),
+        413,
+    ),
+    "header-line-too-long": (
+        b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n", 400
+    ),
+}
 
 
 @pytest.fixture()
@@ -61,3 +84,29 @@ def small_nvbench():
         seed=5,
     )
     return build_nvbench(config=config)
+
+
+@pytest.fixture(params=sorted(MALFORMED_FRAMING))
+def malformed_exchange(request):
+    """Send one unframeable request from :data:`MALFORMED_FRAMING`.
+
+    Returns ``exchange(host, port) -> (reply bytes, expected status)``;
+    the reply is everything read until the server closes.
+    """
+    payload, status = MALFORMED_FRAMING[request.param]
+
+    def exchange(host: str, port: int):
+        chunks = []
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(payload)
+            try:
+                while True:
+                    chunk = sock.recv(65536)
+                    if not chunk:
+                        break
+                    chunks.append(chunk)
+            except ConnectionResetError:
+                pass  # closed with unread request bytes: keep the reply
+        return b"".join(chunks), status
+
+    return exchange

@@ -138,17 +138,11 @@ class TestBuildProfile:
             == {name: stage["calls"] for name, stage in serial["stages"].items()}
 
     def test_in_memory_serial_and_parallel_counters_match(self, tiny_corpus):
-        # In-memory pool workers start with empty caches, so only the
-        # execution-cache counts may differ from the serial build.
+        # Pool workers are seeded from the coordinator's in-memory cache,
+        # so even the execution-cache counts match the serial build.
         _, serial = _profiled(corpus=tiny_corpus, config=_config())
         _, parallel = _profiled(corpus=tiny_corpus, config=_config(), workers=2)
-
-        def without_cache(counters):
-            return {name: value for name, value in counters.items()
-                    if not name.startswith("execution_cache_")}
-
-        assert without_cache(parallel["counters"]) == \
-            without_cache(serial["counters"])
+        assert parallel["counters"] == serial["counters"]
         assert serial["counters"]["resident_pairs_peak"] > 0
 
     def test_untraced_traced_and_profiled_builds_write_identical_files(

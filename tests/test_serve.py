@@ -495,6 +495,16 @@ class TestServerEndToEnd:
         status, body = client.request("POST", "/translate", None)
         assert status == 400 and "JSON" in body["error"]
 
+    def test_malformed_framing_gets_its_status(
+        self, running, malformed_exchange
+    ):
+        _, client = running
+        reply, status = malformed_exchange(client.host, client.port)
+        head = reply.split(b"\r\n\r\n", 1)[0]
+        assert head.startswith(b"HTTP/1.1 %d " % status), reply
+        assert b"Connection: close" in head
+        assert client.healthz()["status"] == "ok"
+
     def test_queue_overflow_returns_429(self, stack):
         _, _, databases = stack
 

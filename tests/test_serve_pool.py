@@ -9,6 +9,7 @@ stale cache entries, and shutdown leaves ``/dev/shm`` clean.
 
 from __future__ import annotations
 
+import asyncio
 import os
 import signal
 import threading
@@ -24,6 +25,7 @@ from repro.serve import (
     LoadGenerator,
     PoolConfig,
     ServerConfig,
+    UnknownModelError,
     WorkerPool,
 )
 from repro.serve.translate import translate_batch
@@ -171,6 +173,16 @@ class TestPoolServing:
         assert status == 404
         assert "unknown database" in body["error"]
 
+    def test_malformed_framing_gets_its_status(
+        self, running, malformed_exchange
+    ):
+        _, client = running
+        reply, status = malformed_exchange(client.host, client.port)
+        head = reply.split(b"\r\n\r\n", 1)[0]
+        assert head.startswith(b"HTTP/1.1 %d " % status), reply
+        assert b"Connection: close" in head
+        assert client.healthz()["status"] == "ok"
+
 
 class TestCrashRecovery:
     def test_killed_worker_requests_requeued_and_answered(self, stack):
@@ -273,6 +285,19 @@ class TestRollingHotSwap:
 
 
 class TestLifecycle:
+    def test_set_default_rejects_unknown_models(self, stack):
+        pool = _pool(stack)
+        try:
+            with pytest.raises(UnknownModelError):
+                pool.set_default("nope")
+            with pytest.raises(UnknownModelError):
+                pool.set_default("deepeye")  # baselines not registered yet
+            pool.register_baselines()
+            pool.set_default("deepeye")
+            pool.set_default("attn")
+        finally:
+            asyncio.run(pool.shutdown())  # never started: unlinks segments
+
     def test_shutdown_leaves_no_shared_segments(self, stack):
         before = _shm_segments()
         pool = _pool(stack)
