@@ -295,7 +295,10 @@ def build_nvbench(
         With ``out``: trust the existing manifest, re-verify every
         committed shard's content key and file hashes, and rebuild only
         dirty or missing shards.  A killed build resumes from the last
-        committed shard and yields byte-identical output.
+        committed shard and yields byte-identical output.  Verification
+        comes first: the execution cache and the chart filter are
+        opened only if a shard must be built, so a clean resume costs
+        the hashing alone and writes no file.
     stream:
         Generate the corpus one database at a time from
         ``config.corpus`` (independent per-DB RNG streams) instead of
@@ -305,7 +308,8 @@ def build_nvbench(
         Explicit :class:`ExecutionCache` (e.g. a
         :class:`PersistentExecutionCache`).  Default: a fresh in-memory
         cache, or — with ``out`` — a persistent journal-backed cache at
-        ``<out>/cache/journal.jsonl`` shared across builds.
+        ``<out>/cache/journal.jsonl`` shared across builds.  Either is
+        used only when some shard is built.
     max_databases:
         Cap on streamed databases (CI smoke jobs build a prefix of the
         paper-scale plan).
@@ -334,26 +338,15 @@ def build_nvbench(
             with traced(tracer, "corpus_build"):
                 corpus = build_spider_corpus(config.corpus)
 
-        cache = cache if cache is not None else _default_cache(config, store)
-        if isinstance(cache, PersistentExecutionCache):
-            build_span.set_attribute("cache_journal_preloaded", cache.preloaded)
-            build_span.set_attribute("cache_journal_corrupt", cache.corrupt_entries)
-
         units = _plan_units(corpus, config, stream, max_databases)
         config_fp = _config_fingerprint(config, mode)
-
-        with traced(tracer, "filter_train"):
-            if stream:
-                chart_filter = _make_filter_streamed(
-                    config, cache=cache, tracer=tracer,
-                    max_databases=max_databases,
-                )
-                filter_fp = content_hash({"streamed": True, "config": config_fp})
-            else:
-                chart_filter = _make_filter(
-                    corpus, config, cache=cache, tracer=tracer
-                )
-                filter_fp = _corpus_filter_fingerprint(corpus, config, config_fp)
+        # Both filter fingerprints hash the filter's inputs, not the
+        # trained filter, so every shard's verdict is known before any
+        # training.
+        if stream:
+            filter_fp = content_hash({"streamed": True, "config": config_fp})
+        else:
+            filter_fp = _corpus_filter_fingerprint(corpus, config, config_fp)
 
         manifest = BuildManifest(
             mode=mode, config_fingerprint=config_fp, filter_fingerprint=filter_fp
@@ -371,25 +364,52 @@ def build_nvbench(
                     unit.db_name, content_hash(database_payload(unit.database))
                 )
             keys[unit.db_name] = _unit_key(unit, config_fp, filter_fp, db_hash)
+        pending, counts = _verify_units(units, keys, manifest, previous, store)
+
+        # Only a shard that must be built needs the execution cache
+        # (opening the persistent one preloads its journal) and the
+        # trained chart filter.
+        chart_filter = None
+        if pending:
+            cache = cache if cache is not None else _default_cache(config, store)
+            if isinstance(cache, PersistentExecutionCache):
+                build_span.set_attribute("cache_journal_preloaded", cache.preloaded)
+                build_span.set_attribute(
+                    "cache_journal_corrupt", cache.corrupt_entries
+                )
+            with traced(tracer, "filter_train"):
+                if stream:
+                    chart_filter = _make_filter_streamed(
+                        config, cache=cache, tracer=tracer,
+                        max_databases=max_databases,
+                    )
+                else:
+                    chart_filter = _make_filter(
+                        corpus, config, cache=cache, tracer=tracer
+                    )
 
         with traced(tracer, "synthesize", shards_total=len(units)) as synth_span:
-            collected, counts = _run_units(
-                units, keys, manifest, previous, store, chart_filter, config,
-                workers, cache, tracer, after_shard,
+            collected = _build_units(
+                pending, keys, manifest, store, chart_filter, config,
+                workers, cache, tracer, after_shard, counts,
                 keep_pairs=store is None,
             )
             synth_span.set_attributes(counts)
 
-        if store is not None:
+        if store is not None and (
+            pending or previous is None
+            or manifest.to_json() != previous.to_json()
+        ):
             # Final manifest in canonical unit order (intermediate saves
-            # commit in completion order for crash safety).
+            # commit in completion order for crash safety).  A resume
+            # that built nothing and changed no entry writes nothing.
             ordered = OrderedDict(
                 sorted(manifest.entries.items(), key=lambda kv: kv[1].db_index)
             )
             manifest.entries = ordered
             store.save_manifest(manifest)
 
-        if cache is not None:
+        if pending and cache is not None:
             if isinstance(cache, PersistentExecutionCache):
                 cache.flush()
             hits, misses = cache.counts()
@@ -466,31 +486,55 @@ def _plan_units(
     ]
 
 
-def _run_units(
+def _verify_units(
     units: List[BuildUnit],
     keys: Dict[str, str],
     manifest: BuildManifest,
     previous: Optional[BuildManifest],
     store: Optional[ShardStore],
-    chart_filter: DeepEyeFilter,
+) -> Tuple[List[BuildUnit], Counter]:
+    """Decide every unit's fate before any work: adopt each clean shard
+    of *previous* into *manifest*, and return ``(pending units, counts)``,
+    the pending ones being dirty or missing, in unit order."""
+    counts: Counter = Counter(input_pairs=0, output_pairs=0)
+    pending: List[BuildUnit] = []
+    for unit in units:
+        prior = None if previous is None else previous.entries.get(unit.db_name)
+        if prior is not None and store.entry_is_clean(prior, keys[unit.db_name]):
+            counts["shards_skipped_clean"] += 1
+            counts["input_pairs"] += prior.input_pairs
+            counts["output_pairs"] += prior.pairs
+            manifest.entries[unit.db_name] = prior
+            continue
+        if prior is not None:
+            counts["shards_rebuilt_dirty"] += 1
+        pending.append(unit)
+    return pending, counts
+
+
+def _build_units(
+    pending: List[BuildUnit],
+    keys: Dict[str, str],
+    manifest: BuildManifest,
+    store: Optional[ShardStore],
+    chart_filter: Optional[DeepEyeFilter],
     config: NVBenchConfig,
     workers: int,
     cache: Optional[ExecutionCache],
     tracer: Optional[Tracer],
     after_shard: Optional[Callable[[int, str], None]],
+    counts: Counter,
     keep_pairs: bool,
-) -> Tuple[List[Tuple[tuple, SynthesizedPair]], Counter]:
-    """Drive every unit: skip clean shards, build the rest, commit.
+) -> List[Tuple[tuple, SynthesizedPair]]:
+    """Build the pending units and commit each one, adding to *counts*.
 
-    Returns ``(collected pairs, counts)`` — ``collected`` is empty unless
-    *keep_pairs* (the classic in-memory build); sharded builds stream
-    each unit's pairs to disk and drop them, which is the bounded-memory
-    guarantee ``counts["resident_pairs_peak"]`` records.  Skipped clean
-    shards stay in the manifest on disk until the next commit rewrites it.
+    Returns the collected pairs — empty unless *keep_pairs* (the classic
+    in-memory build); sharded builds stream each unit's pairs to disk
+    and drop them, which is the bounded-memory guarantee
+    ``counts["resident_pairs_peak"]`` records.  Every commit saves
+    *manifest*, whose clean entries :func:`_verify_units` adopted.
     """
     collected: List[Tuple[tuple, SynthesizedPair]] = []
-    counts: Counter = Counter(input_pairs=0, output_pairs=0)
-    pending: List[BuildUnit] = []
 
     def finish(unit: BuildUnit, entry, indexed, n_inputs: int) -> None:
         counts["shards_built"] += 1
@@ -510,18 +554,6 @@ def _run_units(
             resident = counts["output_pairs"]
         counts["resident_pairs_peak"] = max(counts["resident_pairs_peak"], resident)
 
-    for unit in units:
-        prior = None if previous is None else previous.entries.get(unit.db_name)
-        if prior is not None and store.entry_is_clean(prior, keys[unit.db_name]):
-            counts["shards_skipped_clean"] += 1
-            counts["input_pairs"] += prior.input_pairs
-            counts["output_pairs"] += prior.pairs
-            manifest.entries[unit.db_name] = prior
-            continue
-        if prior is not None:
-            counts["shards_rebuilt_dirty"] += 1
-        pending.append(unit)
-
     if workers <= 1 or len(pending) <= 1:
         for unit in pending:
             entry, indexed, n_inputs = _process_unit(
@@ -534,7 +566,7 @@ def _run_units(
             pending, keys, chart_filter, config, workers, cache, tracer,
             store, keep_pairs, finish,
         )
-    return collected, counts
+    return collected
 
 
 def _run_units_pooled(

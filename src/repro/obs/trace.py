@@ -26,9 +26,10 @@ Design rules:
 from __future__ import annotations
 
 import contextvars
+import itertools
+import os
 import threading
 import time
-import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Union
@@ -227,8 +228,25 @@ class _NoopSpan:
 NOOP_SPAN = _NoopSpan()
 
 
+_ID_MASK = (1 << 64) - 1
+
+
+def _draw_id_base() -> None:
+    """Start this process's span ids at a fresh random 64-bit base."""
+    global _id_base, _id_counter
+    _id_base = int.from_bytes(os.urandom(8), "big")
+    _id_counter = itertools.count()
+
+
+_draw_id_base()
+# Forked children (pool workers, process-pool build workers) would
+# otherwise mint the same ids as their parent and as each other.
+os.register_at_fork(after_in_child=_draw_id_base)
+
+
 def _new_id() -> str:
-    return uuid.uuid4().hex[:16]
+    """16 lowercase hex digits: the process's base plus a counter."""
+    return f"{(_id_base + next(_id_counter)) & _ID_MASK:016x}"
 
 
 class Tracer:

@@ -170,8 +170,11 @@ class WorkerPool:
         """
         shared = share_model(model, in_vocab, out_vocab)
         shared.set_generation(self.generation)
+        replaced = self._shared.get(name)
         self._shared[name] = shared
         self._manifests[name] = shared.manifest
+        if replaced is not None:
+            replaced.destroy()
         if default or self._default is None:
             self._default = name
         return shared
@@ -288,12 +291,16 @@ class WorkerPool:
 
     def _fork_worker(self, worker_id: int, restarts: int = 0) -> WorkerHandle:
         parent_conn, child_conn = _FORK.Pipe()
+        # The child closes its copies of every front-side pipe end, so
+        # its own pipe reaches EOF once the front is gone.
+        front_ends = [parent_conn] + [handle.conn for handle in self._workers]
         process = _FORK.Process(
             target=_worker_main,
             name=f"repro-serve-worker-{worker_id}",
             args=(
                 worker_id,
                 child_conn,
+                front_ends,
                 self.databases,
                 {
                     name: manifest.to_json()
@@ -718,6 +725,7 @@ async def _absent(handle: WorkerHandle) -> dict:
 def _worker_main(
     worker_id: int,
     conn,
+    front_ends: list,
     databases: Dict[str, Database],
     manifests: Dict[str, dict],
     baselines: bool,
@@ -730,8 +738,9 @@ def _worker_main(
 
     Attaches every shared segment, rebuilds translators over the shared
     views, and serves a private loopback :class:`InferenceServer` until
-    SIGTERM.  Exits via ``os._exit`` so the parent's atexit hooks (and
-    its resource-tracker bookkeeping) never run twice.
+    SIGTERM, or until *conn* reaches EOF because the front died.  Exits
+    via ``os._exit`` so the parent's atexit hooks (and its
+    resource-tracker bookkeeping) never run twice.
     """
     from repro.obs.export import JsonlExporter
     from repro.serve.registry import (
@@ -740,6 +749,9 @@ def _worker_main(
         NeuralTranslator,
     )
     from repro.serve.server import InferenceServer
+
+    for front_end in front_ends:
+        front_end.close()
 
     exporter = None
     try:
@@ -843,9 +855,15 @@ def _worker_main(
                 lambda *_: loop.call_soon_threadsafe(stop.set),
             )
 
+        def front_closed() -> None:
+            # The front never writes to the pipe: readable means EOF.
+            loop.remove_reader(conn.fileno())
+            stop.set()
+
         async def serve() -> None:
             _, port = await server.start()
             conn.send(("ready", port))
+            loop.add_reader(conn.fileno(), front_closed)
             await stop.wait()
             await server.shutdown()
 

@@ -53,6 +53,18 @@ def _profiled(**kwargs):
     return bench, build_profile(spans)
 
 
+def _file_states(root) -> dict:
+    """Bytes and ``st_mtime_ns`` of every file under *root*, journal
+    included."""
+    return {
+        path.relative_to(root).as_posix(): (
+            path.read_bytes(), path.stat().st_mtime_ns
+        )
+        for path in sorted(Path(root).rglob("*"))
+        if path.is_file()
+    }
+
+
 def _dir_digest(root) -> str:
     """One hash over every shard/corpus/manifest byte (cache excluded —
     the journal is a performance side-channel, not build output)."""
@@ -259,7 +271,7 @@ class TestResumeAndCorruption:
         assert counters["shards_skipped_clean"] == counters["shards_total"]
         assert "shards_built" not in counters
 
-    def test_clean_resume_saves_manifest_once(
+    def test_clean_resume_writes_no_manifest(
         self, tiny_corpus, tmp_path, monkeypatch
     ):
         from repro.storage.shards import ShardStore
@@ -275,7 +287,53 @@ class TestResumeAndCorruption:
 
         monkeypatch.setattr(ShardStore, "save_manifest", counting)
         build_nvbench(corpus=tiny_corpus, config=_config(), out=out, resume=True)
-        assert saves == [len(tiny_corpus.databases)]
+        assert saves == []
+
+    @pytest.mark.parametrize("mode", ["corpus", "streamed"])
+    def test_clean_resume_opens_no_journal_and_trains_no_filter(
+        self, tiny_corpus, tmp_path, monkeypatch, mode
+    ):
+        import repro.core.nvbench as nvbench
+        import repro.storage.journal as journal
+
+        out = tmp_path / "dir"
+        if mode == "corpus":
+            kwargs = dict(corpus=tiny_corpus, config=_config())
+        else:
+            kwargs = dict(config=_stream_config(), stream=True)
+        built = build_nvbench(out=str(out), **kwargs)
+        before = _file_states(out)
+        assert "manifest.json" in before and "cache/journal.jsonl" in before
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a clean resume needs no journal or filter")
+
+        monkeypatch.setattr(journal, "load_journal", forbidden)
+        monkeypatch.setattr(nvbench, "train_filter_from_candidates", forbidden)
+        resumed = build_nvbench(out=str(out), resume=True, **kwargs)
+        assert list(resumed.pairs) == list(built.pairs)
+        assert _file_states(out) == before
+
+    def test_smaller_streamed_resume_rewrites_manifest(self, tmp_path):
+        # The filter trains on the first database alone, so the
+        # two-database prefix's shards are the full build's first two.
+        config = NVBenchConfig(
+            corpus=_stream_config().corpus, filter_training_pairs=4, seed=3
+        )
+        out = tmp_path / "dir"
+        build_nvbench(config=config, stream=True, out=str(out))
+        _, report = _profiled(
+            config=config, stream=True, out=str(out), resume=True,
+            max_databases=2,
+        )
+        assert report["counters"]["shards_skipped_clean"] == 2
+        assert "shards_built" not in report["counters"]
+        build_nvbench(
+            config=config, stream=True, out=str(tmp_path / "prefix"),
+            max_databases=2,
+        )
+        assert (out / "manifest.json").read_bytes() == \
+            (tmp_path / "prefix" / "manifest.json").read_bytes()
 
     def test_failed_rebuild_keeps_every_previous_entry(
         self, tiny_corpus, tmp_path, monkeypatch
@@ -320,6 +378,9 @@ class TestResumeAndCorruption:
         assert counters["shards_rebuilt_dirty"] == 1
         assert counters["shards_built"] == 1
         assert counters["shards_skipped_clean"] == counters["shards_total"] - 1
+        # a dirty shard opens the journal and trains the filter, once
+        assert counters["cache_journal_preloaded"] > 0
+        assert report["stages"]["filter_train"]["calls"] == 1
         assert _dir_digest(out) == reference
         fresh = build_nvbench(corpus=tiny_corpus, config=_config())
         assert list(resumed.pairs) == list(fresh.pairs)

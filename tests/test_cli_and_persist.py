@@ -232,12 +232,17 @@ class TestProfileContract:
         fresh = json.loads(fresh_path.read_text())
         resumed = json.loads(resumed_path.read_text())
 
-        for report in (fresh, resumed):
+        for report, stages in (
+            (fresh, ("corpus_build", "filter_train", "synthesize")),
+            (resumed, ("corpus_build", "synthesize")),
+        ):
             assert set(report) == {"total_seconds", "stages", "counters"}
             assert report["total_seconds"] > 0.0
-            for name in ("corpus_build", "filter_train", "synthesize"):
+            for name in stages:
                 assert set(report["stages"][name]) == {"calls", "seconds"}
                 assert report["stages"][name]["calls"] >= 1
+        # a clean resume verifies its shards and trains no filter
+        assert "filter_train" not in resumed["stages"]
         for name in ("candidates", "featurize", "score", "select"):
             assert set(fresh["stages"][name]) == {"calls", "seconds"}
             assert fresh["stages"][name]["calls"] >= 1

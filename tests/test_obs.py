@@ -160,6 +160,37 @@ class TestSpanCore:
         open_span.end()
         assert tracer.stats()["spans_finished"] == 2
 
+    def test_span_ids_stay_distinct_across_forked_children(self):
+        import multiprocessing
+        import re
+
+        from repro.obs.trace import _new_id
+
+        fork = multiprocessing.get_context("fork")
+        pipes, children = [], []
+        for _ in range(2):
+            receiver, sender = fork.Pipe(duplex=False)
+            child = fork.Process(target=_mint_ids, args=(sender, 5000))
+            child.start()
+            sender.close()
+            pipes.append(receiver)
+            children.append(child)
+        ids = [_new_id() for _ in range(5000)]
+        for receiver, child in zip(pipes, children):
+            ids.extend(receiver.recv())
+            child.join(10)
+            assert child.exitcode == 0
+        assert len(ids) == 15000
+        assert len(set(ids)) == len(ids)
+        assert all(re.fullmatch("[0-9a-f]{16}", span_id) for span_id in ids)
+
+
+def _mint_ids(sender, count: int) -> None:
+    from repro.obs.trace import _new_id
+
+    sender.send([_new_id() for _ in range(count)])
+    sender.close()
+
 
 class TestExporters:
     def test_in_memory_exporter_receives_finished_spans(self):
@@ -433,6 +464,15 @@ class TestBuildTracing:
         assert {f["parent_id"] for f in featurized} <= pair_ids
         assert root["attributes"]["pairs"] > 0
         assert root["attributes"]["execution_cache_hits"] >= 0
+
+    def test_parallel_build_span_ids_are_unique(self, tiny_corpus):
+        tracer = Tracer()
+        build_nvbench(
+            corpus=tiny_corpus, config=_config(), workers=2, tracer=tracer
+        )
+        span_ids = [record["span_id"] for record in tracer.finished()]
+        assert len(_by_name(tracer.finished(), "shard")) == 3
+        assert len(set(span_ids)) == len(span_ids)
 
     def test_parallel_traced_export_is_deterministic(self, tiny_corpus):
         def span_names():

@@ -14,6 +14,7 @@ import os
 import signal
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +46,15 @@ def _shm_segments() -> set:
         name for name in os.listdir("/dev/shm")
         if name.startswith("repro-weights-")
     }
+
+
+def _running(pid: int) -> bool:
+    """Whether *pid* is a live process (a zombie has exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
 
 
 def _worker_config() -> ServerConfig:
@@ -307,6 +317,60 @@ class TestLifecycle:
             assert during, "pool should hold at least one segment while up"
             client.healthz()
         assert _shm_segments() - before == set()
+
+    def test_sharing_one_name_twice_leaves_no_segment(self, stack):
+        model, dataset, _ = stack
+        before = _shm_segments()
+        pool = _pool(stack)
+        pool.share_model("attn", model, dataset.in_vocab, dataset.out_vocab)
+        # the second share destroyed the segment it replaced
+        assert len(_shm_segments() - before) == 1
+        asyncio.run(pool.shutdown())  # never started: unlinks segments
+        assert _shm_segments() - before == set()
+
+    def test_workers_exit_when_the_front_is_killed(self, tmp_path):
+        import subprocess
+        import sys
+
+        import repro
+        from repro.cli import main
+        from repro.serve import ServeClient
+
+        corpus = tmp_path / "corpus.json"
+        assert main([
+            "build-corpus", "--databases", "2", "--pairs-per-db", "3",
+            "--row-scale", "0.3", "--seed", "3", "--out", str(corpus),
+        ]) == 0
+        env = dict(
+            os.environ, PYTHONUNBUFFERED="1",
+            PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+        )
+        front = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--corpus", str(corpus),
+             "--workers", "2", "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+            env=env,
+        )
+        pids = []
+        try:
+            line = front.stdout.readline()
+            assert line.startswith("serving on http://"), line
+            host, port = line.split()[2][len("http://"):].rsplit(":", 1)
+            workers = ServeClient(host, int(port)).workers()
+            pids = [worker["pid"] for worker in workers]
+            assert len(pids) == 2 and all(map(_running, pids))
+            front.kill()
+            front.wait(10)
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, pids)), "workers outlived the front"
+        finally:
+            front.kill()
+            front.wait(10)
+            front.stdout.close()
+            for pid in filter(_running, pids):
+                os.kill(pid, signal.SIGKILL)
 
     def test_single_worker_pool_serves(self, stack):
         _, dataset, databases = stack
