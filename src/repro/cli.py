@@ -754,7 +754,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-batch-size", type=int, default=8,
                    help="requests coalesced into one forward pass")
     p.add_argument("--flush-ms", type=float, default=5.0,
-                   help="micro-batch flush deadline in milliseconds")
+                   help="longest wait in milliseconds for batch stragglers, "
+                        "paid only after a batch that had company; a lone "
+                        "request is dispatched at once")
     p.add_argument("--queue-depth", type=int, default=128,
                    help="queued requests before returning 429")
     p.add_argument("--timeout", type=float, default=30.0,

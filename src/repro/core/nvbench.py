@@ -312,7 +312,8 @@ def build_nvbench(
         used only when some shard is built.
     max_databases:
         Cap on streamed databases (CI smoke jobs build a prefix of the
-        paper-scale plan).
+        paper-scale plan).  The chart filter trains on the same pairs
+        whatever the cap, so a prefix's shards are the full build's.
     after_shard:
         Callback ``(unit_index, db_name)`` invoked after each shard is
         committed — fault-injection hook for the resumability tests.
@@ -380,8 +381,7 @@ def build_nvbench(
             with traced(tracer, "filter_train"):
                 if stream:
                     chart_filter = _make_filter_streamed(
-                        config, cache=cache, tracer=tracer,
-                        max_databases=max_databases,
+                        config, cache=cache, tracer=tracer
                     )
                 else:
                     chart_filter = _make_filter(
@@ -820,14 +820,15 @@ def _make_filter_streamed(
     config: NVBenchConfig,
     cache: Optional[ExecutionCache],
     tracer: Optional[Tracer],
-    max_databases: Optional[int] = None,
 ) -> DeepEyeFilter:
     """Train the filter from the stream's first N input pairs.
 
     Streamed builds have no corpus to sample from, so the training set
     is the first ``filter_training_pairs`` (NL, SQL) pairs in database
     order — fully determined by the corpus config, which is exactly
-    what the filter fingerprint hashes.  The few databases touched here
+    what the filter fingerprint hashes.  A ``max_databases`` prefix
+    trains on the same pairs, even those of databases past its end, so
+    its shards are the full build's.  The few databases touched here
     are regenerated later by their own units; generation is cheap next
     to synthesis, and the execution cache (persistent across the build)
     already holds their results by then.
@@ -836,11 +837,8 @@ def _make_filter_streamed(
         return DeepEyeFilter()
     charts = []
     taken = 0
-    limit = config.corpus.num_databases
-    if max_databases is not None:
-        limit = min(limit, max_databases)
     with traced(tracer, "filter_candidates"):
-        for db_index in range(limit):
+        for db_index in range(config.corpus.num_databases):
             database, pairs = generate_corpus_unit(config.corpus, db_index)
             for pair in pairs:
                 for candidate in generate_candidates(

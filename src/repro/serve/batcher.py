@@ -2,10 +2,15 @@
 
 Concurrent ``/translate`` requests land in one bounded asyncio queue; a
 single flusher task coalesces them into batches of at most
-``max_batch_size``, waiting up to ``flush_interval`` seconds after the
-first request for stragglers.  Each batch is grouped by model name (one
-padded forward pass per group) and run on a thread-pool executor so the
-event loop keeps accepting connections during the numpy forward pass.
+``max_batch_size``.  The flusher waits for stragglers only once its own
+traffic has shown concurrency: after a batch of one request that left
+nothing queued, the next request goes out at once with whatever is
+already queued; after a batch that had company (more than one request,
+or requests queued behind it), the next batch waits up to
+``flush_interval`` seconds after its first request.  Each batch is
+grouped by model name (one padded forward pass per group) and run on a
+thread-pool executor so the event loop keeps accepting connections
+during the numpy forward pass.
 
 Backpressure is explicit: a full queue rejects immediately
 (:class:`QueueFullError` → HTTP 429), a draining server rejects with
@@ -151,9 +156,14 @@ class MicroBatcher:
 
     async def _run(self) -> None:
         loop = asyncio.get_running_loop()
+        # No straggler wait until a batch has had company.  The wait is
+        # kept after one: closed-loop clients answered together resubmit
+        # a few ms apart, and without it the first would go alone while
+        # the rest decode, so batches would alternate small and large.
+        wait = 0.0
         while True:
             batch = [await self._queue.get()]
-            deadline = loop.time() + self.flush_interval
+            deadline = loop.time() + wait
             while len(batch) < self.max_batch_size:
                 remaining = deadline - loop.time()
                 if remaining <= 0:
@@ -175,6 +185,8 @@ class MicroBatcher:
             finally:
                 for _ in batch:
                     self._queue.task_done()
+            had_company = len(batch) > 1 or not self._queue.empty()
+            wait = self.flush_interval if had_company else 0.0
 
     async def _dispatch(self, batch: List[_Pending]) -> None:
         loop = asyncio.get_running_loop()

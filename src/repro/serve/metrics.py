@@ -31,11 +31,17 @@ class ServeMetrics:
 
     # ----- recording ---------------------------------------------------
 
-    def observe_request(self, status: int, seconds: float) -> None:
-        """Record one finished HTTP request (any endpoint outcome)."""
+    def observe_request(self, status: int, seconds: Optional[float]) -> None:
+        """Record one finished HTTP request (any endpoint outcome).
+
+        *seconds* is ``None`` for a request rejected before it could be
+        framed: it is counted, but the wait for its bytes is the
+        client's, so it adds no latency sample.
+        """
         self.count("requests_total")
         self.count(f"requests_{status}")
-        self.latency_ms.observe(seconds * 1000.0)
+        if seconds is not None:
+            self.latency_ms.observe(seconds * 1000.0)
 
     def observe_batch(self, size: int, seconds: float) -> None:
         """Record one model forward pass over *size* coalesced requests."""

@@ -24,6 +24,7 @@ before the socket closes.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import functools
 import json
 from dataclasses import dataclass
@@ -64,7 +65,7 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 0                  # 0 = pick a free ephemeral port
     max_batch_size: int = 8        # requests coalesced per forward pass
-    flush_interval: float = 0.005  # seconds to wait for batch stragglers
+    flush_interval: float = 0.005  # longest straggler wait (s), after company
     max_queue_depth: int = 128     # queued requests before 429
     request_timeout: float = 30.0  # seconds per request before 504
     cache_size: int = 1024         # response-cache entries (<=0 disables)
@@ -180,8 +181,8 @@ async def serve_connection(
     dict payload goes out as JSON with ``latency_ms`` (on 200) and
     ``trace_id`` added; a bytes payload (a relayed worker reply) goes
     out verbatim.  A request that cannot be framed gets its 400/413
-    here, and the connection closes, since the rest of its bytes cannot
-    be trusted.
+    here, counted under its status and ``rejected_framing``, and the
+    connection closes, since the rest of its bytes cannot be trusted.
     """
     loop = asyncio.get_running_loop()
     try:
@@ -189,6 +190,8 @@ async def serve_connection(
             try:
                 request = await read_http_request(reader, max_body_bytes)
             except _HTTPError as exc:
+                metrics.observe_request(exc.status, None)
+                metrics.count("rejected_framing")
                 body = json.dumps({"error": str(exc)}).encode("utf-8")
                 write_http_response(writer, exc.status, body, keep_alive=False)
                 await writer.drain()
@@ -621,8 +624,12 @@ class InferenceServer:
             metrics=self.metrics,
         )
         self.metrics.count("pipeline_requests")
+        # An executor thread does not inherit context variables, so run
+        # the pipeline in a copy of this one: its spans then nest under
+        # this request's http.request span, in the request's trace.
         result = await asyncio.get_running_loop().run_in_executor(
-            None, lambda: pipeline.run(question, db_name)
+            None, contextvars.copy_context().run, pipeline.run, question,
+            db_name,
         )
         span.set_attribute("db", result.db_name)
         response = {**result.to_json(), "model": model_name}

@@ -65,14 +65,17 @@ def _file_states(root) -> dict:
     }
 
 
-def _dir_digest(root) -> str:
+def _dir_digest(root, like=None) -> str:
     """One hash over every shard/corpus/manifest byte (cache excluded —
-    the journal is a performance side-channel, not build output)."""
+    the journal is a performance side-channel, not build output); with
+    *like*, over only the files that directory holds."""
     digest = hashlib.sha256()
-    for path in sorted(Path(root).rglob("*")):
+    base = Path(like if like is not None else root)
+    for path in sorted(base.rglob("*")):
         if path.is_file() and "cache" not in path.parts:
-            digest.update(path.relative_to(root).as_posix().encode())
-            digest.update(path.read_bytes())
+            relative = path.relative_to(base).as_posix()
+            digest.update(relative.encode())
+            digest.update((Path(root) / relative).read_bytes())
     return digest.hexdigest()
 
 
@@ -334,6 +337,28 @@ class TestResumeAndCorruption:
         )
         assert (out / "manifest.json").read_bytes() == \
             (tmp_path / "prefix" / "manifest.json").read_bytes()
+
+    def test_streamed_prefix_is_the_full_builds_prefix(self, tmp_path):
+        # The filter's 12 training pairs span all three databases, so a
+        # two-database prefix must still train on the third's pairs.
+        full, prefix = tmp_path / "full", tmp_path / "prefix"
+        build_nvbench(config=_stream_config(), stream=True, out=str(full))
+        build_nvbench(
+            config=_stream_config(), stream=True, out=str(prefix),
+            max_databases=2,
+        )
+        shards = sorted((prefix / "shards").glob("*.jsonl"))
+        assert len(shards) == 2
+        for shard in shards:
+            assert shard.read_bytes() == \
+                (full / "shards" / shard.name).read_bytes(), shard.name
+        build_nvbench(
+            config=_stream_config(), stream=True, out=str(full), resume=True,
+            max_databases=2,
+        )
+        # The resume leaves the third database's files, which its
+        # manifest no longer names, beside the prefix's.
+        assert _dir_digest(full, like=prefix) == _dir_digest(prefix)
 
     def test_failed_rebuild_keeps_every_previous_entry(
         self, tiny_corpus, tmp_path, monkeypatch

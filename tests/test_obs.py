@@ -620,6 +620,29 @@ class TestServeTracing:
         ]
         assert len(decodes) == 1
 
+    def test_pipeline_spans_join_the_request_trace(self, traced_server,
+                                                   small_nvbench):
+        from repro.pipeline import STAGES
+
+        _, client, exporter = traced_server
+        pair = small_nvbench.pairs[3]
+        question = f"{pair.source_nl} (traced pipeline)"
+        trace_id = client.pipeline(question, db=pair.db_name)["trace_id"]
+        records = exporter.records()
+        (request,) = [
+            r for r in _by_name(records, "http.request")
+            if r["trace_id"] == trace_id
+        ]
+        (root,) = [
+            r for r in _by_name(records, "pipeline")
+            if r["attributes"]["question"] == question
+        ]
+        assert root["trace_id"] == trace_id
+        assert root["parent_id"] == request["span_id"]
+        stages = [r for r in records if r["parent_id"] == root["span_id"]]
+        assert sorted(r["name"] for r in stages) == sorted(STAGES)
+        assert all(r["trace_id"] == trace_id for r in stages)
+
     def test_cached_response_gets_fresh_trace_id(self, traced_server,
                                                  small_nvbench):
         _, client, _ = traced_server

@@ -9,6 +9,7 @@ server end to end over real sockets.
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 
 import pytest
@@ -390,6 +391,108 @@ class TestMicroBatcher:
         with pytest.raises(ValueError):
             MicroBatcher(_Recorder(), max_batch_size=0)
 
+    def test_lone_request_dispatches_at_once(self):
+        async def scenario():
+            batcher = MicroBatcher(_Recorder(), flush_interval=1.0)
+            await batcher.start()
+            started = time.perf_counter()
+            result = await batcher.submit("m", 1)
+            elapsed = time.perf_counter() - started
+            await batcher.drain()
+            return result, elapsed
+
+        result, elapsed = asyncio.run(scenario())
+        assert result == "m:1"
+        assert elapsed < 0.5, f"a lone request waited {elapsed:.3f}s"
+
+    def test_waits_for_stragglers_after_a_batch_with_company(self):
+        async def scenario():
+            entered, release = threading.Event(), threading.Event()
+            sizes = []
+
+            def handler(key, items):
+                if not sizes:
+                    entered.set()
+                    release.wait(timeout=10)
+                sizes.append(len(items))
+                return list(items)
+
+            batcher = MicroBatcher(handler, flush_interval=0.25)
+            await batcher.start()
+            first = asyncio.ensure_future(batcher.submit("m", 0))
+            assert await asyncio.to_thread(entered.wait, 10)
+            queued = [
+                asyncio.ensure_future(batcher.submit("m", i)) for i in (1, 2)
+            ]
+            await asyncio.sleep(0)
+            release.set()
+            await asyncio.gather(first, *queued)
+            assert sizes == [1, 2]
+            # The batch of two had company, so the next batch holds its
+            # window open for a straggler 50 ms behind.
+            early = asyncio.ensure_future(batcher.submit("m", 3))
+            await asyncio.sleep(0.05)
+            await asyncio.gather(early, batcher.submit("m", 4))
+            await batcher.drain()
+            return sizes
+
+        assert asyncio.run(scenario()) == [1, 2, 2]
+
+    def test_lone_batch_ends_the_wait(self):
+        async def scenario():
+            recorder = _Recorder()
+            batcher = MicroBatcher(recorder, flush_interval=0.5)
+            await batcher.start()
+            await asyncio.gather(batcher.submit("m", 0), batcher.submit("m", 1))
+            timings = []
+            for item in (2, 3):
+                started = time.perf_counter()
+                await batcher.submit("m", item)
+                timings.append(time.perf_counter() - started)
+            await batcher.drain()
+            return recorder.sizes, timings
+
+        sizes, (after_company, after_lone) = asyncio.run(scenario())
+        assert sizes == [2, 1, 1]
+        assert after_company >= 0.45, "the window after company was skipped"
+        assert after_lone < 0.25, f"a lone request waited {after_lone:.3f}s"
+
+    @staticmethod
+    def _closed_loop(clients: int, rounds: int):
+        """*clients* closed-loop clients against a 20 ms handler and a
+        50 ms window; client *c* resubmits 0.5·(c+1) ms after its answer.
+
+        Returns the batch sizes and the seconds all rounds took.
+        """
+        async def scenario():
+            recorder = _Recorder(delay=0.02)
+            batcher = MicroBatcher(
+                recorder, max_batch_size=8, flush_interval=0.05
+            )
+            await batcher.start()
+
+            async def client(index):
+                for _ in range(rounds):
+                    await batcher.submit("m", index)
+                    await asyncio.sleep(0.0005 * (index + 1))
+
+            started = time.perf_counter()
+            await asyncio.gather(*(client(c) for c in range(clients)))
+            elapsed = time.perf_counter() - started
+            await batcher.drain()
+            return recorder.sizes, elapsed
+
+        return asyncio.run(scenario())
+
+    def test_closed_loop_clients_keep_batches_full(self):
+        sizes, _ = self._closed_loop(clients=8, rounds=5)
+        assert sum(sizes) == 40
+        assert all(size == 8 for size in sizes[1:]), sizes
+
+    def test_closed_loop_lone_client_never_waits(self):
+        _, elapsed = self._closed_loop(clients=1, rounds=5)
+        assert elapsed < 5 * 0.05, f"5 rounds took {elapsed:.3f}s"
+
 
 class TestServerEndToEnd:
     def test_healthz_shape(self, running):
@@ -499,11 +602,13 @@ class TestServerEndToEnd:
         self, running, malformed_exchange
     ):
         _, client = running
+        before = client.metrics()["counters"].get("rejected_framing", 0)
         reply, status = malformed_exchange(client.host, client.port)
         head = reply.split(b"\r\n\r\n", 1)[0]
         assert head.startswith(b"HTTP/1.1 %d " % status), reply
         assert b"Connection: close" in head
         assert client.healthz()["status"] == "ok"
+        assert client.metrics()["counters"]["rejected_framing"] == before + 1
 
     def test_queue_overflow_returns_429(self, stack):
         _, _, databases = stack

@@ -187,11 +187,18 @@ class TestPoolServing:
         self, running, malformed_exchange
     ):
         _, client = running
+
+        def rejected():
+            counters = client.metrics()["front"]["counters"]
+            return counters.get("rejected_framing", 0)
+
+        before = rejected()
         reply, status = malformed_exchange(client.host, client.port)
         head = reply.split(b"\r\n\r\n", 1)[0]
         assert head.startswith(b"HTTP/1.1 %d " % status), reply
         assert b"Connection: close" in head
         assert client.healthz()["status"] == "ok"
+        assert rejected() == before + 1
 
 
 class TestCrashRecovery:
