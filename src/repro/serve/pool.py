@@ -12,8 +12,14 @@ processes, each a full :class:`~repro.serve.server.InferenceServer`
   (:func:`repro.neural.shared.share_model`); workers attach and rebind
   parameter views, so resident weight bytes are O(1) in the worker
   count (int8/f16 models shrink the segment further).
-* **Routing** — ``POST /translate`` / ``POST /pipeline`` round-robin
-  over READY workers; each worker micro-batches its own stream.
+* **Routing** — ``POST /translate`` / ``POST /pipeline`` go to the READY
+  worker that ranks first by a rendezvous hash of the request's (model,
+  db, normalized question), so a repeat reaches the worker that cached
+  its response and encoding; a worker already carrying 1.25x its fair
+  share of in-flight requests passes the request to the least-loaded
+  one (consistent hashing with bounded loads).  The front keeps idle
+  keep-alive connections to each worker and reuses them; each worker
+  micro-batches its own stream.
 * **Crash recovery** — a supervisor task detects dead workers, respawns
   them against the current segments, and in-flight requests that hit a
   broken connection are re-queued onto surviving workers.
@@ -39,13 +45,15 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import functools
+import hashlib
 import json
+import math
 import multiprocessing
 import os
 import signal
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.neural.shared import (
     SharedManifest,
@@ -63,6 +71,7 @@ from repro.serve.server import (
     read_http_headers,
     serve_connection,
 )
+from repro.serve.translate import normalize_question
 from repro.storage.schema import Database
 
 #: Workers MUST be forked: arguments (databases, manifests) pass by
@@ -75,6 +84,10 @@ STARTING = "starting"
 READY = "ready"
 DRAINING = "draining"
 DEAD = "dead"
+
+#: A worker whose in-flight count reaches this multiple of the pool's
+#: average (counting the request being placed) passes the request on.
+LOAD_BOUND = 1.25
 
 
 @dataclass
@@ -96,9 +109,9 @@ class PoolConfig:
     trace_dir: Optional[str] = None    # per-process JSONL span files
 
 
-@dataclass
+@dataclass(eq=False)
 class WorkerHandle:
-    """Front-side view of one decode worker."""
+    """Front-side view of one decode worker (compared by identity)."""
 
     worker_id: int
     process: multiprocessing.Process
@@ -107,6 +120,15 @@ class WorkerHandle:
     state: str = STARTING
     inflight: int = 0
     restarts: int = 0
+    #: open keep-alive ``(reader, writer)`` pairs to the worker, not in use
+    idle: list = field(default_factory=list, repr=False)
+
+    def mark_dead(self) -> None:
+        """Take the worker out of routing and close its idle connections."""
+        self.state = DEAD
+        for _, writer in self.idle:
+            writer.close()
+        self.idle.clear()
 
     def describe(self) -> dict:
         return {
@@ -147,7 +169,6 @@ class WorkerPool:
         self._baselines = False
         self._default: Optional[str] = None
         self._workers: List[WorkerHandle] = []
-        self._rr = 0
         self._server: Optional[asyncio.base_events.Server] = None
         self._supervisor: Optional[asyncio.Task] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -265,6 +286,9 @@ class WorkerPool:
         ):
             await asyncio.sleep(self.config.drain_poll_interval)
         for handle in self._workers:
+            # Close idle connections first: from Python 3.12 a worker's
+            # drain waits for every open connection to it.
+            handle.mark_dead()
             if handle.process.is_alive():
                 handle.process.terminate()  # SIGTERM → worker drains
         for handle in self._workers:
@@ -276,7 +300,6 @@ class WorkerPool:
                 await self._loop.run_in_executor(
                     None, handle.process.join, 5.0
                 )
-            handle.state = DEAD
             handle.conn.close()
         for shared in self._shared.values():
             shared.destroy()
@@ -360,7 +383,7 @@ class WorkerPool:
                 if handle.process.is_alive():
                     continue
                 if handle.state != DEAD:
-                    handle.state = DEAD
+                    handle.mark_dead()
                     self.metrics.count("worker_deaths")
                 if not self.config.respawn or self._closing:
                     continue
@@ -384,22 +407,70 @@ class WorkerPool:
                 handle.conn.close()
                 self._workers[index] = replacement
 
-    def _pick_worker(self) -> Optional[WorkerHandle]:
+    def _route_key(self, body: bytes) -> Optional[bytes]:
+        """The rendezvous key of a forwarded request body.
+
+        ``(model or the pool default, db, normalized question)``: the
+        part of a response-cache key that every format and decode of
+        one question share, so they share a worker.  ``None`` when the
+        body is not a JSON object with a string ``question``; the
+        worker then answers the 400.
+        """
+        try:
+            payload = json.loads(body)
+        except (ValueError, RecursionError):
+            return None
+        if not isinstance(payload, dict):
+            return None
+        question = payload.get("question")
+        if not isinstance(question, str):
+            return None
+        key = [
+            payload.get("model") or self._default,
+            payload.get("db"),
+            normalize_question(question),
+        ]
+        return json.dumps(key).encode("utf-8")
+
+    def _pick_worker(
+        self, key: Optional[bytes], failed: Sequence[WorkerHandle] = ()
+    ) -> Optional[WorkerHandle]:
+        """The READY worker for a request with rendezvous *key*.
+
+        Workers rank by a stable hash of (key, worker slot); the first
+        that has not *failed* this request takes it, unless its
+        in-flight count is at the bound, in which case the least-loaded
+        one does (ties by rank).  A keyless request goes to the
+        least-loaded worker.
+        """
         ready = [
             handle for handle in self._workers
             if handle.state == READY and handle.process.is_alive()
         ]
-        if not ready:
+        if key is not None:
+            ready.sort(
+                key=lambda handle: _rendezvous_score(key, handle.worker_id),
+                reverse=True,
+            )
+        candidates = [handle for handle in ready if handle not in failed]
+        if not candidates:
             return None
-        handle = ready[self._rr % len(ready)]
-        self._rr += 1
+        total = sum(handle.inflight for handle in ready)
+        bound = math.ceil(LOAD_BOUND * (total + 1) / len(ready))
+        handle = candidates[0]
+        if key is None or handle.inflight >= bound:
+            handle = min(candidates, key=lambda h: h.inflight)
+        if key is not None and handle is not ready[0]:
+            self.metrics.count("affinity_spills")
         return handle
 
-    async def _next_worker(self) -> Optional[WorkerHandle]:
+    async def _next_worker(
+        self, key: Optional[bytes], failed: Sequence[WorkerHandle]
+    ) -> Optional[WorkerHandle]:
         """A READY worker, waiting out respawns/drains if none is."""
         deadline = self._loop.time() + self.config.ready_wait_timeout
         while True:
-            handle = self._pick_worker()
+            handle = self._pick_worker(key, failed)
             if handle is not None or self._loop.time() >= deadline:
                 return handle
             await asyncio.sleep(self.config.drain_poll_interval)
@@ -430,18 +501,20 @@ class WorkerPool:
 
         Only connection-level failures retry (refused, reset, truncated
         response): those mean the worker never finished the request.  A
-        worker's own error statuses (429/504/...) pass through verbatim
-        — retrying them would double decode work the worker already
-        accounted for.
+        retry skips every worker that already failed it.  A worker's own
+        error statuses (429/504/...) pass through verbatim — retrying
+        them would double decode work the worker already accounted for.
         """
         headers: Dict[str, str] = {}
         if span.trace_id:
             headers["X-Trace-Id"] = span.trace_id
             if span.context is not None and span.context.span_id:
                 headers["X-Parent-Span"] = span.context.span_id
+        key = self._route_key(body)
+        failed: List[WorkerHandle] = []
         last_error: Optional[BaseException] = None
         for attempt in range(self.config.max_forward_attempts):
-            handle = await self._next_worker()
+            handle = await self._next_worker(key, failed)
             if handle is None:
                 break
             if attempt:
@@ -453,8 +526,9 @@ class WorkerPool:
                 )
             except (OSError, asyncio.IncompleteReadError, ValueError) as exc:
                 last_error = exc
+                failed.append(handle)
                 if not handle.process.is_alive():
-                    handle.state = DEAD
+                    handle.mark_dead()
                     self.metrics.count("worker_crash_requeues")
                 continue
             else:
@@ -474,16 +548,27 @@ class WorkerPool:
         body: bytes,
         headers: Dict[str, str],
     ) -> Tuple[int, bytes]:
-        reader, writer = await asyncio.open_connection(
-            "127.0.0.1", handle.port
-        )
+        """One exchange with *handle*'s worker over a keep-alive connection.
+
+        Takes an idle connection, or opens one.  It goes back on the
+        idle list only after a complete response that did not say
+        ``Connection: close``; an exception or a cancellation closes it,
+        as its framing can no longer be trusted.
+        """
+        if handle.idle:
+            reader, writer = handle.idle.pop()
+        else:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", handle.port
+            )
+            self.metrics.count("worker_connects")
+        reusable = False
         try:
             lines = [
                 f"{method} {path} HTTP/1.1",
                 f"Host: 127.0.0.1:{handle.port}",
                 "Content-Type: application/json",
                 f"Content-Length: {len(body)}",
-                "Connection: close",
             ]
             lines.extend(f"{name}: {value}" for name, value in headers.items())
             writer.write(
@@ -497,13 +582,13 @@ class WorkerPool:
             response_headers = await read_http_headers(reader)
             length = int(response_headers.get("content-length", "0") or "0")
             payload = await reader.readexactly(length) if length else b""
+            reusable = response_headers.get("connection", "").lower() != "close"
             return status, payload
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
+            if reusable and handle.state != DEAD:
+                handle.idle.append((reader, writer))
+            else:
+                writer.close()
 
     async def _worker_get(
         self, handle: WorkerHandle, path: str, timeout: float = 5.0
@@ -713,6 +798,11 @@ class WorkerPool:
             self.invalidate_model_async(name), self._loop
         )
         return future.result(timeout)
+
+
+def _rendezvous_score(key: bytes, worker_id: int) -> bytes:
+    """Stable across processes and runs, unlike ``hash()``."""
+    return hashlib.blake2b(b"%d:%s" % (worker_id, key), digest_size=8).digest()
 
 
 async def _absent(handle: WorkerHandle) -> dict:

@@ -52,6 +52,7 @@ _REASONS = {
     408: "Request Timeout",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
@@ -100,15 +101,23 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes:
         raise _HTTPError(400, "request or header line too long") from None
 
 
+#: Header lines one message may carry; ``http.client`` refuses more too.
+MAX_HEADER_LINES = 100
+
+
 async def read_http_headers(reader: asyncio.StreamReader) -> Dict[str, str]:
-    """Read header lines up to the blank line; names lower-cased."""
+    """Read header lines up to the blank line; names lower-cased.
+
+    More than :data:`MAX_HEADER_LINES` lines is a 431.
+    """
     headers: Dict[str, str] = {}
-    while True:
+    for _ in range(MAX_HEADER_LINES + 1):
         line = await _read_line(reader)
         if line in (b"\r\n", b"\n", b""):
             return headers
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
+    raise _HTTPError(431, f"more than {MAX_HEADER_LINES} header lines")
 
 
 async def read_http_request(
@@ -117,8 +126,8 @@ async def read_http_request(
     """Read one request; ``None`` on a cleanly closed connection.
 
     Returns ``(method, target, lower-cased headers, body)``.  Raises
-    :class:`_HTTPError` on malformed framing (400) or an oversized body
-    (413).
+    :class:`_HTTPError` on malformed framing (400), an oversized body
+    (413) or too many header lines (431).
     """
     request_line = await _read_line(reader)
     if not request_line:
@@ -180,7 +189,7 @@ async def serve_connection(
     it also sends ``x-parent-span``), and is counted in *metrics*.  A
     dict payload goes out as JSON with ``latency_ms`` (on 200) and
     ``trace_id`` added; a bytes payload (a relayed worker reply) goes
-    out verbatim.  A request that cannot be framed gets its 400/413
+    out verbatim.  A request that cannot be framed gets its 400/413/431
     here, counted under its status and ``rejected_framing``, and the
     connection closes, since the rest of its bytes cannot be trusted.
     """

@@ -30,6 +30,12 @@ MALFORMED_FRAMING = {
     "header-line-too-long": (
         b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n", 400
     ),
+    "too-many-header-lines": (
+        b"GET /healthz HTTP/1.1\r\nConnection: close\r\n"
+        + b"".join(b"X-Pad-%d: a\r\n" % i for i in range(100))
+        + b"\r\n",
+        431,
+    ),
 }
 
 

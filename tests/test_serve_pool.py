@@ -1,15 +1,19 @@
 """Multi-process serving: worker pool, crash recovery, rolling hot-swap.
 
-Everything here runs real forked processes over real sockets.  The
-invariants: pool outputs are bit-identical to in-process decode, weights
-are resident once (shared segments) no matter the worker count, a
-SIGKILLed worker never loses a request, a rolling swap never serves
-stale cache entries, and shutdown leaves ``/dev/shm`` clean.
+Everything here runs real forked processes over real sockets, except
+the routing unit tests, which drive an unstarted pool over stub
+workers.  The invariants: pool outputs are bit-identical to in-process
+decode, weights are resident once (shared segments) no matter the
+worker count, a repeat reaches the worker that cached it, a SIGKILLed
+worker never loses a request, a rolling swap never serves stale cache
+entries, and shutdown leaves ``/dev/shm`` clean.
 """
 
 from __future__ import annotations
 
 import asyncio
+import http.client
+import json
 import os
 import signal
 import threading
@@ -29,6 +33,7 @@ from repro.serve import (
     UnknownModelError,
     WorkerPool,
 )
+from repro.serve.pool import READY, WorkerHandle
 from repro.serve.translate import translate_batch
 
 QUESTIONS = [
@@ -55,6 +60,23 @@ def _running(pid: int) -> bool:
     except OSError:
         return False
     return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+def _post(client, path: str, body: bytes):
+    """One raw POST to *client*'s address: ``(status, X-Worker-Id, doc)``."""
+    connection = http.client.HTTPConnection(
+        client.host, client.port, timeout=30
+    )
+    try:
+        connection.request(
+            "POST", path, body=body,
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        doc = json.loads(response.read().decode("utf-8"))
+        return response.status, response.getheader("X-Worker-Id"), doc
+    finally:
+        connection.close()
 
 
 def _worker_config() -> ServerConfig:
@@ -175,6 +197,37 @@ class TestPoolServing:
         status, _ = client.request("GET", "/translate")
         assert status == 405
 
+    def test_repeat_is_answered_from_the_cache(self, running, stack):
+        _, _, databases = stack
+        _, client = running
+        db_name = sorted(databases)[1]
+        question = "count the records of every kind of owner"
+        assert client.translate(question, db_name)["cached"] is False
+        # a case and spacing variant shares the response-cache slot
+        repeat = client.translate("  " + question.upper(), db_name)
+        assert repeat["cached"] is True
+
+    def test_beam_after_greedy_reuses_the_encoding(self, running, stack):
+        _, _, databases = stack
+        _, client = running
+        db_name = sorted(databases)[1]
+        question = "which owner has the largest total of entries"
+
+        def encoder_hits():
+            workers = client.metrics()["workers"].values()
+            return sum(doc["encoder_cache"]["hits"] for doc in workers)
+
+        before = encoder_hits()
+        client.translate(question, db_name, use_cache=False)
+        client.translate(question, db_name, use_cache=False, beam_width=3)
+        assert encoder_hits() == before + 1
+
+    def test_body_that_is_not_json_gets_the_workers_400(self, running):
+        _, client = running
+        status, worker_id, doc = _post(client, "/translate", b"{not json")
+        assert status == 400 and "not valid JSON" in doc["error"]
+        assert worker_id is not None  # a worker answered, not the front
+
     def test_worker_error_statuses_not_retried(self, running):
         _, client = running
         status, body = client.request(
@@ -245,6 +298,142 @@ class TestCrashRecovery:
                 QUESTIONS[0], db_name, use_cache=False
             )
             assert response["tokens"] is not None or "error" in response
+
+
+    def test_killed_worker_with_idle_connections_is_retried(self, stack):
+        _, _, databases = stack
+        pool = _pool(stack)
+        with BackgroundServer(pool) as background:
+            client = background.client()
+            body = json.dumps({
+                "question": QUESTIONS[2], "db": sorted(databases)[0],
+                "use_cache": False,
+            }).encode("utf-8")
+            status, worker_id, _ = _post(client, "/translate", body)
+            assert status == 200
+            victim = pool._workers[int(worker_id)]
+            assert victim.idle, "the front should keep its connection open"
+            os.kill(victim.process.pid, signal.SIGKILL)
+            # the question still hashes to the victim's slot: the stale
+            # connection fails, and the retry goes to the other worker
+            status, _, doc = _post(client, "/translate", body)
+            assert status == 200, doc
+            assert doc["tokens"]
+
+
+class _Alive:
+    """A stub worker process that is always alive."""
+
+    def is_alive(self) -> bool:
+        return True
+
+
+class TestRouting:
+    """Rendezvous routing with bounded loads, unit-tested on stub workers
+    (no fork), and the keep-alive connections it forwards over."""
+
+    @staticmethod
+    def _stub_pool(workers: int = 4) -> WorkerPool:
+        pool = WorkerPool({}, PoolConfig(workers=workers))
+        pool._default = "attn"
+        pool._workers = [
+            WorkerHandle(worker_id, _Alive(), conn=None, state=READY)
+            for worker_id in range(workers)
+        ]
+        return pool
+
+    @staticmethod
+    def _key(pool: WorkerPool, payload: dict) -> bytes:
+        return pool._route_key(json.dumps(payload).encode("utf-8"))
+
+    def _keys(self, pool: WorkerPool, count: int = 1000) -> list:
+        return [
+            self._key(pool, {"question": f"question {i}", "db": "flights"})
+            for i in range(count)
+        ]
+
+    @staticmethod
+    def _spills(pool: WorkerPool) -> int:
+        return pool.metrics.counters.get("affinity_spills", 0)
+
+    def test_same_key_same_worker_and_keys_spread(self):
+        pool = self._stub_pool()
+        keys = self._keys(pool)
+        owners = [pool._pick_worker(key).worker_id for key in keys]
+        assert owners == [pool._pick_worker(key).worker_id for key in keys]
+        assert sorted(set(owners)) == [0, 1, 2, 3]
+        assert min(owners.count(worker) for worker in range(4)) > 200
+        # requests that share a response-cache slot (or only an
+        # encoding) share a key, whatever their format or decode
+        greedy = self._key(pool, {"question": "Show  Prices", "db": "f"})
+        beam = self._key(pool, {
+            "question": " show prices", "db": "f", "model": "attn",
+            "beam_width": 3, "format": "vega-lite",
+        })
+        assert greedy == beam
+        assert self._spills(pool) == 0
+
+    def test_keyless_requests_go_to_the_least_loaded_worker(self):
+        pool = self._stub_pool()
+        for body in (b"{not json", b"[1]", b'{"question": 3}', b"{}"):
+            assert pool._route_key(body) is None
+        for handle, inflight in zip(pool._workers, (2, 0, 1, 0)):
+            handle.inflight = inflight
+        assert pool._pick_worker(None).worker_id == 1
+        assert self._spills(pool) == 0
+
+    def test_a_dead_worker_moves_only_its_keys(self):
+        pool = self._stub_pool()
+        keys = self._keys(pool)
+        before = [pool._pick_worker(key) for key in keys]
+        pool._workers[2].mark_dead()
+        after = [pool._pick_worker(key) for key in keys]
+        moved = 0
+        for old, new in zip(before, after):
+            if old.worker_id == 2:
+                assert new.worker_id != 2
+                moved += 1
+            else:
+                assert new is old
+        assert moved > 0
+        assert self._spills(pool) == 0
+
+    def test_a_worker_at_the_bound_spills_to_the_least_loaded(self):
+        pool = self._stub_pool()
+        key = self._keys(pool, 1)[0]
+        first = pool._pick_worker(key)
+        runner_up = pool._pick_worker(key, failed=[first])
+        spills = self._spills(pool)
+        for handle in pool._workers:
+            handle.inflight = 1
+        # bound = ceil(1.25 * (4 + 1) / 4) = 2: one in flight stays put
+        assert pool._pick_worker(key) is first
+        first.inflight = 2
+        # at the bound: the least loaded takes it, ties by rendezvous rank
+        assert pool._pick_worker(key) is runner_up
+        assert self._spills(pool) == spills + 1
+
+    def test_a_retry_skips_the_workers_that_failed(self):
+        pool = self._stub_pool()
+        key = self._keys(pool, 1)[0]
+        failed = []
+        for expected_spills in range(4):
+            handle = pool._pick_worker(key, failed=failed)
+            assert handle not in failed
+            assert self._spills(pool) == expected_spills
+            failed.append(handle)
+        assert pool._pick_worker(key, failed=failed) is None
+
+    def test_forwarded_requests_reuse_worker_connections(self, stack):
+        _, _, databases = stack
+        pool = _pool(stack)
+        with BackgroundServer(pool) as background:
+            client = background.client()
+            db_name = sorted(databases)[0]
+            for question in (QUESTIONS * 2)[:10]:
+                client.translate(question, db_name, use_cache=False)
+            counters = client.metrics()["front"]["counters"]
+        assert 1 <= counters["worker_connects"] <= 2
 
 
 class TestRollingHotSwap:
