@@ -239,8 +239,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ----- nonlinearities --------------------------------------------------------
 
 
+def sigmoid_array(z: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The logistic ``1 / (1 + exp(-clip(z, -60, 60)))`` of a raw array,
+    into *out* (a new array when omitted).
+
+    The one gate activation of the engine: :func:`sigmoid`, both LSTM
+    kernels and :mod:`repro.neural.infer` all call it, so their values
+    agree bit for bit.  ``np.maximum`` then ``np.minimum`` equal
+    ``np.clip`` bit for bit (NaN, ±inf and -0.0 included) but skip its
+    Python wrapper, which costs more than the math on gate-sized blocks.
+    """
+    out = np.maximum(z, -60, out=out)
+    np.minimum(out, 60, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    return out
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    value = 1.0 / (1.0 + np.exp(-np.clip(a.data, -60, 60)))
+    value = sigmoid_array(a.data)
     out = Tensor(value, parents=(a,))
 
     def backward(grad: np.ndarray) -> None:
@@ -468,11 +487,7 @@ def lstm_step(
     # tanh.  On one core, ufunc dispatch — not FLOPs — dominates these
     # small arrays, so 4 dispatches beat 12 even with the wasted
     # quarter-block exp.
-    gates = np.clip(z, -60, 60)
-    np.negative(gates, out=gates)
-    np.exp(gates, out=gates)
-    gates += 1.0
-    np.divide(1.0, gates, out=gates)
+    gates = sigmoid_array(z)
     g = np.tanh(z[:, 2 * hidden : 3 * hidden])
     gates[:, 2 * hidden : 3 * hidden] = g
     i = gates[:, :hidden]
@@ -603,12 +618,7 @@ def lstm_seq(
     for t in times:
         z = P[:, t] + h @ wh  # same association as the fused cell
         z += b
-        gates = gates_seq[t]
-        np.clip(z, -60, 60, out=gates)
-        np.negative(gates, out=gates)
-        np.exp(gates, out=gates)
-        gates += 1.0
-        np.divide(1.0, gates, out=gates)
+        gates = sigmoid_array(z, out=gates_seq[t])
         np.tanh(z[:, 2 * hidden : 3 * hidden], out=gates[:, 2 * hidden : 3 * hidden])
         i = gates[:, :hidden]
         f = gates[:, hidden : 2 * hidden]

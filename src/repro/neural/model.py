@@ -20,6 +20,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.neural import autograd as ag
+from repro.neural import infer
 from repro.neural.autograd import Tensor
 from repro.neural.layers import BiLSTMEncoder, Embedding, Linear, LSTMCell, Module
 from repro.obs.trace import traced
@@ -310,19 +311,12 @@ class Seq2Vis(Module):
     def encode_batch(self, batch: Batch) -> EncodedBatch:
         """Run the encoder once, graph-free, and freeze the outputs.
 
+        Bit-identical to :meth:`_encode` (see :func:`repro.neural.infer.encode`).
         The returned :class:`EncodedBatch` can be passed to any decode
         entry point via ``encoded=`` to skip re-encoding — the basis of
         the serve-layer encoder-output cache.
         """
-        with ag.no_grad():
-            memory, h, c = self._encode(batch)
-        return EncodedBatch(
-            memory=memory.data,
-            h0=h.data,
-            c0=c.data,
-            src_mask=np.asarray(batch.src_mask),
-            src_out_ids=np.asarray(batch.src_out_ids),
-        )
+        return infer.encode(self, batch)
 
     def greedy_decode(
         self,
@@ -374,17 +368,34 @@ class Seq2Vis(Module):
     ) -> List[List[int]]:
         """Greedy decoding of a whole padded batch with no graph.
 
-        Token-identical to :meth:`greedy_decode` (the evaluation
-        harness and the serving path both rely on that), but runs under
-        :func:`repro.neural.autograd.no_grad`, so no backward closures
-        or parent links are recorded and intermediate activations are
-        freed as soon as the step moves on — the fast path for
-        accuracy evaluation over thousands of test examples.
+        Token-identical to :meth:`greedy_decode`, the per-example
+        reference (the evaluation harness and the serving path both rely
+        on that), but every step is one raw-array
+        :class:`~repro.neural.infer.DecoderStep` call.
         """
-        with ag.no_grad():
-            return self.greedy_decode(
-                batch, bos_id, eos_id, max_len=max_len, encoded=encoded
-            )
+        if encoded is None:
+            encoded = self.encode_batch(batch)
+        step = infer.DecoderStep(
+            self, encoded.memory, batch.src_mask, batch.src_out_ids
+        )
+        h, c = encoded.h0, encoded.c0
+        batch_size = batch.src_ids.shape[0]
+        tokens = np.full(batch_size, bos_id, dtype=np.int64)
+        finished = np.zeros(batch_size, dtype=bool)
+        outputs: List[List[int]] = [[] for _ in range(batch_size)]
+        for _ in range(max_len):
+            scores, h, c = step(tokens, h, c)
+            next_tokens = scores.argmax(axis=1)
+            for row in range(batch_size):
+                if not finished[row]:
+                    if next_tokens[row] == eos_id:
+                        finished[row] = True
+                    else:
+                        outputs[row].append(int(next_tokens[row]))
+            if finished.all():
+                break
+            tokens = next_tokens
+        return outputs
 
     def beam_decode(
         self,
@@ -526,8 +537,9 @@ class Seq2Vis(Module):
 
         Instead of looping examples (and hypotheses) one at a time like
         :meth:`beam_decode`, the full beam front is flattened to a
-        ``(B·K, ·)`` pseudo-batch so every step is one fused LSTM-step +
-        attention + output-GEMM call.  The bookkeeping replicates
+        ``(B·K, ·)`` pseudo-batch so every step is one raw-array
+        :class:`~repro.neural.infer.DecoderStep` call, bit-identical to
+        the graph step :meth:`_beam_one` runs.  The bookkeeping replicates
         :meth:`_beam_one` exactly — same per-row softmax, same
         ``argsort`` candidate order, same length-normalized key under
         the same stable sort — so the results are token-identical to the
@@ -547,32 +559,9 @@ class Seq2Vis(Module):
                 f"{self.out_vocab_size}"
             )
         keep = beam_width if num_candidates is None else max(1, min(num_candidates, beam_width))
-        with ag.no_grad():
-            return self._beam_search_batch(
-                batch, bos_id, eos_id, beam_width, max_len, length_penalty,
-                keep, token_mask, encoded, tracer,
-            )
-
-    def _beam_search_batch(
-        self,
-        batch: Batch,
-        bos_id: int,
-        eos_id: int,
-        beam_width: int,
-        max_len: int,
-        length_penalty: float,
-        keep: int,
-        token_mask: Optional[np.ndarray],
-        encoded: Optional[EncodedBatch],
-        tracer,
-    ) -> List[List[BeamCandidate]]:
         if encoded is None:
-            memory_t, h0, c0 = self._encode(batch)
-            memory = memory_t.data
-            state_h, state_c = h0.data, c0.data
-        else:
-            memory = encoded.memory
-            state_h, state_c = encoded.h0, encoded.c0
+            encoded = self.encode_batch(batch)
+        state_h, state_c = encoded.h0, encoded.c0
         batch_size = batch.src_ids.shape[0]
         src_mask = np.asarray(batch.src_mask)
         src_out_ids = np.asarray(batch.src_out_ids)
@@ -584,9 +573,7 @@ class Seq2Vis(Module):
         # lives at row b*k + j of the flattened (B·k, H) front.
         beams = [[(0.0, [bos_id], False)] for _ in range(batch_size)]
         k = 1
-        memory_front = Tensor(memory)
-        mask_front = src_mask
-        out_ids_front = src_out_ids
+        decode_step = infer.DecoderStep(self, encoded.memory, src_mask, src_out_ids)
         for step in range(max_len):
             if all(done for example in beams for _, _, done in example):
                 break
@@ -599,23 +586,11 @@ class Seq2Vis(Module):
                     (hyp[1][-1] for example in beams for hyp in example),
                     dtype=np.int64, count=front,
                 )
-                token_embed = self.embed_out(last)
-                output, weights, context, (h_new, c_new) = self._step(
-                    token_embed, (Tensor(state_h), Tensor(state_c)),
-                    memory_front, mask_front,
-                )
+                scores, h_new, c_new = decode_step(last, state_h, state_c)
                 if self.variant == "copy":
-                    copy_batch = Batch.for_inference(
-                        src_ids=out_ids_front,
-                        src_mask=mask_front,
-                        src_out_ids=out_ids_front,
-                    )
-                    probs = self._copy_probs(
-                        output, weights, context, token_embed, copy_batch
-                    ).data
+                    probs = scores
                 else:
-                    logits = self.out_proj(output).data
-                    shifted = logits - logits.max(axis=1, keepdims=True)
+                    shifted = scores - scores.max(axis=1, keepdims=True)
                     exp = np.exp(shifted)
                     probs = exp / exp.sum(axis=1, keepdims=True)
                 if token_mask is not None:
@@ -647,16 +622,19 @@ class Seq2Vis(Module):
                     select.extend(item[2] for item in kept)
                 beams = new_beams
                 sel = np.asarray(select, dtype=np.intp)
-                state_h = h_new.data[sel]
-                state_c = c_new.data[sel]
+                state_h = h_new[sel]
+                state_c = c_new[sel]
                 if k != beam_width:
                     # The front fans out from B to B·K after the first
                     # expansion; the encoder side is repeated once here
                     # and reused for every remaining step.
                     k = beam_width
-                    memory_front = Tensor(np.repeat(memory, k, axis=0))
-                    mask_front = np.repeat(src_mask, k, axis=0)
-                    out_ids_front = np.repeat(src_out_ids, k, axis=0)
+                    decode_step = infer.DecoderStep(
+                        self,
+                        np.repeat(encoded.memory, k, axis=0),
+                        np.repeat(src_mask, k, axis=0),
+                        np.repeat(src_out_ids, k, axis=0),
+                    )
         results: List[List[BeamCandidate]] = []
         for example in beams:
             ranked = sorted(example, key=norm)[:keep]

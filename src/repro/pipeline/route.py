@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, FrozenSet, List, Pattern, Tuple
 
-from repro.baselines.common import match_columns
 from repro.nlp.tokenize import tokenize_nl
 from repro.storage.schema import Database
 
@@ -49,6 +48,68 @@ class RouteScore:
         }
 
 
+@dataclass(frozen=True)
+class _SchemaIndex:
+    """What routing reads of one database, built once per object.
+
+    Holds the :class:`Database` itself, so the ``id`` the router keys
+    it by is never reused while the entry lives.  Column and table
+    entries carry the phrase a match needs and its compiled pattern:
+    a pattern can only match where its phrase occurs, so a substring
+    test skips most searches without changing any result.
+    """
+
+    database: Database
+    #: ``(table, column name, lowered phrase, \bphrase\b)`` in
+    #: ``iter_columns`` order, as :func:`match_columns` scans them
+    columns: Tuple[Tuple[str, str, str, Pattern[str]], ...]
+    #: ``(table, phrase, \bphrase)`` sorted by table name; the phrase
+    #: keeps the name's case, so an upper-case name never matches the
+    #: lowered question
+    tables: Tuple[Tuple[str, str, Pattern[str]], ...]
+    #: the ``_``-split words of every table and column name
+    vocab: FrozenSet[str]
+
+    @classmethod
+    def build(cls, database: Database) -> "_SchemaIndex":
+        columns = []
+        vocab = set()
+        for table_name, column in database.iter_columns():
+            phrase = column.name.replace("_", " ").lower()
+            columns.append((
+                table_name, column.name, phrase,
+                re.compile(rf"\b{re.escape(phrase)}\b"),
+            ))
+            vocab.update(table_name.lower().split("_"))
+            vocab.update(column.name.lower().split("_"))
+        tables = []
+        for name in sorted(database.tables):
+            phrase = name.replace("_", " ")
+            tables.append((name, phrase, re.compile(rf"\b{re.escape(phrase)}")))
+        return cls(database, tuple(columns), tuple(tables), frozenset(vocab))
+
+    def column_matches(self, lowered: str) -> Dict[str, List[str]]:
+        """Matched column names per table, in mention order: the names
+        :func:`match_columns` returns."""
+        found: Dict[str, List[Tuple[int, str]]] = {}
+        for table, column, phrase, pattern in self.columns:
+            if phrase in lowered:
+                match = pattern.search(lowered)
+                if match:
+                    found.setdefault(table, []).append((match.start(), column))
+        return {
+            table: [column for _, column in sorted(entries, key=lambda e: e[0])]
+            for table, entries in found.items()
+        }
+
+    def mentioned_tables(self, lowered: str) -> List[str]:
+        """Tables named in the question, sorted by name."""
+        return [
+            name for name, phrase, pattern in self.tables
+            if phrase in lowered and pattern.search(lowered)
+        ]
+
+
 class Router:
     """Scores databases (and tables) against a question.
 
@@ -56,6 +117,10 @@ class Router:
     ranked best-first, deterministic for identical inputs (ties break on
     database name).  Swap in any object with that method to change the
     routing policy.
+
+    Each database's schema is indexed on first use and kept for the
+    router's life, so one router serves many requests over a fixed
+    corpus; a database must not change after it has been routed over.
     """
 
     name = "route"
@@ -66,12 +131,24 @@ class Router:
     table_weight: float = 1.5
     overlap_weight: float = 1.0
 
+    def __init__(self) -> None:
+        self._indexes: Dict[int, _SchemaIndex] = {}
+
+    def _index(self, database: Database) -> _SchemaIndex:
+        index = self._indexes.get(id(database))
+        if index is None:
+            index = _SchemaIndex.build(database)
+            self._indexes[id(database)] = index
+        return index
+
     def route(
         self, question: str, databases: Dict[str, Database]
     ) -> List[RouteScore]:
         """Rank every database by schema-linking evidence."""
+        lowered = question.lower()
+        tokens = _content_tokens(question)
         scores = [
-            self.score(question, database)
+            self._score(lowered, tokens, self._index(database))
             for database in databases.values()
         ]
         scores.sort(key=lambda s: (-s.score, s.db_name))
@@ -79,25 +156,31 @@ class Router:
 
     def score(self, question: str, database: Database) -> RouteScore:
         """Score one database against the question."""
-        lowered = question.lower()
-        matches = match_columns(question, database)
+        return self._score(
+            question.lower(), _content_tokens(question), self._index(database)
+        )
+
+    def _score(
+        self, lowered: str, tokens: List[str], index: _SchemaIndex
+    ) -> RouteScore:
+        matches = index.column_matches(lowered)
         matched_columns = [
-            f"{table}.{column.name}"
+            f"{table}.{column}"
             for table, columns in sorted(matches.items())
             for column in columns
         ]
-        matched_tables = [
-            name for name in sorted(database.tables)
-            if re.search(rf"\b{re.escape(name.replace('_', ' '))}", lowered)
-        ]
-        overlap = self._token_overlap(question, database)
+        matched_tables = index.mentioned_tables(lowered)
+        overlap = (
+            sum(1 for token in tokens if token in index.vocab) / len(tokens)
+            if tokens else 0.0
+        )
         score = (
             self.column_weight * len(matched_columns)
             + self.table_weight * len(matched_tables)
             + self.overlap_weight * overlap
         )
         return RouteScore(
-            db_name=database.name,
+            db_name=index.database.name,
             score=score,
             matched_columns=matched_columns,
             matched_tables=matched_tables,
@@ -107,27 +190,22 @@ class Router:
     def rank_tables(self, question: str, database: Database) -> List[str]:
         """Tables of *database* ranked by how much the question hits them."""
         lowered = question.lower()
-        matches = match_columns(question, database)
+        index = self._index(database)
+        matches = index.column_matches(lowered)
+        mentioned = set(index.mentioned_tables(lowered))
         ranked = []
         for name in database.tables:
             hits = float(len(matches.get(name, [])))
-            if re.search(rf"\b{re.escape(name.replace('_', ' '))}", lowered):
+            if name in mentioned:
                 hits += 1.5
             ranked.append((-hits, name))
         ranked.sort()
         return [name for _, name in ranked]
 
-    @staticmethod
-    def _token_overlap(question: str, database: Database) -> float:
-        tokens = [
-            token for token in tokenize_nl(question)
-            if token.isalpha() and token not in _STOPWORDS
-        ]
-        if not tokens:
-            return 0.0
-        schema_vocab = set()
-        for table_name, column in database.iter_columns():
-            schema_vocab.update(table_name.lower().split("_"))
-            schema_vocab.update(column.name.lower().split("_"))
-        hits = sum(1 for token in tokens if token in schema_vocab)
-        return hits / len(tokens)
+
+def _content_tokens(question: str) -> List[str]:
+    """The question's alphabetic, non-stopword tokens."""
+    return [
+        token for token in tokenize_nl(question)
+        if token.isalpha() and token not in _STOPWORDS
+    ]

@@ -382,9 +382,7 @@ class WorkerPool:
             for index, handle in enumerate(self._workers):
                 if handle.process.is_alive():
                     continue
-                if handle.state != DEAD:
-                    handle.mark_dead()
-                    self.metrics.count("worker_deaths")
+                self._bury(handle)
                 if not self.config.respawn or self._closing:
                     continue
                 replacement = None
@@ -406,6 +404,13 @@ class WorkerPool:
                 self.metrics.count("worker_respawns")
                 handle.conn.close()
                 self._workers[index] = replacement
+
+    def _bury(self, handle: WorkerHandle) -> None:
+        """Mark a worker whose process died DEAD, counting the death once
+        whether a forward or the supervisor saw it first."""
+        if handle.state != DEAD:
+            handle.mark_dead()
+            self.metrics.count("worker_deaths")
 
     def _route_key(self, body: bytes) -> Optional[bytes]:
         """The rendezvous key of a forwarded request body.
@@ -528,7 +533,7 @@ class WorkerPool:
                 last_error = exc
                 failed.append(handle)
                 if not handle.process.is_alive():
-                    handle.mark_dead()
+                    self._bury(handle)
                     self.metrics.count("worker_crash_requeues")
                 continue
             else:

@@ -334,9 +334,12 @@ class InferenceServer:
         # import is deferred: repro.pipeline imports the serve package
         # for the translator interface, so a module-level import here
         # would be circular.
-        from repro.pipeline import ExecuteStage
+        from repro.pipeline import ExecuteStage, Router
 
         self.pipeline_executor = ExecuteStage(cache=self.execution_cache)
+        #: one router for every /pipeline request, so each database's
+        #: schema is indexed once per server, not once per request
+        self.router = Router()
         #: optional request tracer: every request gets an ``http.request``
         #: span at ingress whose trace id follows it through the batcher
         #: (``batch.wait`` / ``decode`` spans) and comes back to the
@@ -629,6 +632,7 @@ class InferenceServer:
             ),
             budget=budget,
             executor=self.pipeline_executor,
+            router=self.router,
             tracer=self.tracer,
             metrics=self.metrics,
         )

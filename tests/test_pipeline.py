@@ -10,8 +10,11 @@ shape on a real run.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
+from repro.baselines.common import match_columns
 from repro.grammar.ast_nodes import Attribute, QueryCore, VisQuery
 from repro.grammar.serialize import from_tokens
 from repro.obs import InMemoryExporter, Tracer
@@ -31,6 +34,8 @@ from repro.pipeline import (
     Router,
     Verifier,
 )
+from repro.nlp.tokenize import tokenize_nl
+from repro.pipeline.route import _STOPWORDS
 from repro.serve import BaselineTranslator
 from repro.storage.schema import Column, Database, Table
 
@@ -149,6 +154,78 @@ class TestRouter:
     def test_rank_tables_prefers_mentioned_table(self, flight_db):
         ranked = Router().rank_tables("airline names please", flight_db)
         assert ranked[0] == "airline"
+
+    def test_indexed_ranking_equals_a_plain_scan(self, small_nvbench):
+        """One router over the whole test corpus (its schema index built
+        once) ranks every question exactly as a direct scan does."""
+        databases = small_nvbench.databases
+        router = Router()
+        for pair in small_nvbench.pairs:
+            routes = router.route(pair.nl, databases)
+            assert [
+                (r.db_name, r.score, r.matched_columns, r.matched_tables,
+                 r.token_overlap)
+                for r in routes
+            ] == _plain_route(pair.nl, databases)
+            database = databases[pair.db_name]
+            assert router.rank_tables(pair.nl, database) == _plain_rank_tables(
+                pair.nl, database
+            )
+
+    def test_upper_case_table_name_is_not_a_mention(self):
+        table = Table("Orders", (Column("order_id", "C"),))
+        shop = Database(name="shop")
+        shop.add_table(table)
+        route = Router().score("show orders per order id", shop)
+        assert route.matched_tables == []
+        assert route.matched_columns == ["Orders.order_id"]
+
+
+def _plain_route(question, databases):
+    """The router's ranking by scanning every schema directly: one regex
+    per column (``match_columns``) and per table, and the schema words
+    rebuilt per call."""
+    lowered = question.lower()
+    tokens = [
+        token for token in tokenize_nl(question)
+        if token.isalpha() and token not in _STOPWORDS
+    ]
+    rows = []
+    for database in databases.values():
+        columns = [
+            f"{table}.{column.name}"
+            for table, matched in sorted(match_columns(question, database).items())
+            for column in matched
+        ]
+        tables = [
+            name for name in sorted(database.tables)
+            if re.search(rf"\b{re.escape(name.replace('_', ' '))}", lowered)
+        ]
+        vocab = set()
+        for table_name, column in database.iter_columns():
+            vocab.update(table_name.lower().split("_"))
+            vocab.update(column.name.lower().split("_"))
+        overlap = (
+            sum(1 for token in tokens if token in vocab) / len(tokens)
+            if tokens else 0.0
+        )
+        score = 2.0 * len(columns) + 1.5 * len(tables) + 1.0 * overlap
+        rows.append((database.name, score, columns, tables, overlap))
+    rows.sort(key=lambda row: (-row[1], row[0]))
+    return rows
+
+
+def _plain_rank_tables(question, database):
+    lowered = question.lower()
+    matches = match_columns(question, database)
+    ranked = []
+    for name in database.tables:
+        hits = float(len(matches.get(name, [])))
+        if re.search(rf"\b{re.escape(name.replace('_', ' '))}", lowered):
+            hits += 1.5
+        ranked.append((-hits, name))
+    ranked.sort()
+    return [name for _, name in ranked]
 
 
 class TestVerifier:

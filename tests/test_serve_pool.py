@@ -320,6 +320,42 @@ class TestCrashRecovery:
             assert status == 200, doc
             assert doc["tokens"]
 
+    def test_a_death_a_forward_sees_first_is_counted_once(self, stack):
+        """A worker dies while a forward waits on its reply: the forward
+        marks it dead, and the death is still counted, once."""
+        _, _, databases = stack
+        pool = _pool(stack)
+        with BackgroundServer(pool) as background:
+            client = background.client()
+            body = json.dumps({
+                "question": QUESTIONS[3], "db": sorted(databases)[0],
+                "use_cache": False,
+            }).encode("utf-8")
+            status, worker_id, _ = _post(client, "/translate", body)
+            assert status == 200
+            victim = pool._workers[int(worker_id)].process.pid
+            # Stopped, the worker still looks alive, so the repeat is
+            # forwarded to it and waits; the kill then lands mid-forward.
+            os.kill(victim, signal.SIGSTOP)
+            reply = {}
+            thread = threading.Thread(
+                target=lambda: reply.update(doc=_post(client, "/translate", body))
+            )
+            thread.start()
+            time.sleep(0.5)
+            os.kill(victim, signal.SIGKILL)
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            assert reply["doc"][0] == 200, reply
+            deadline = time.time() + 60
+            while time.time() < deadline:
+                counters = client.metrics()["front"]["counters"]
+                if counters.get("worker_respawns"):
+                    break
+                time.sleep(0.1)
+            assert counters.get("worker_deaths") == 1, counters
+            assert counters.get("worker_respawns") == 1, counters
+
 
 class _Alive:
     """A stub worker process that is always alive."""
