@@ -4,7 +4,11 @@ Just enough surface for LSTM seq2seq models with attention and copying:
 dense algebra (matmul, add with broadcasting, elementwise mul), the
 gate nonlinearities, softmax/log, slicing and concatenation, embedding
 gather, batched attention primitives (stack / attention scores /
-weighted context), and a scatter op for copy distributions.
+weighted context), and a scatter op for copy distributions.  Training
+runs on sequence-level nodes: whole LSTM recurrences
+(:func:`lstm_seq`, :func:`bilstm_seq`), attention over every decoder
+step, and the fused losses :func:`cross_entropy_logits` and
+:func:`copy_nll`.
 
 Every op records a backward closure on the global tape implicitly via
 parent links; ``Tensor.backward()`` topologically sorts the graph and
@@ -117,23 +121,27 @@ class Tensor:
         """
         if grad is None:
             grad = np.ones_like(self.data)
+        # Depth-first post-order, parents in order, walked with an
+        # explicit stack: the order (and so every gradient sum) of a
+        # recursive walk, but no self-referencing closure, whose cycle
+        # would keep ``topo`` (the whole graph and its activations)
+        # alive after return until the cyclic collector ran.  Constant
+        # nodes are marked visited too: a shared constant is then
+        # checked once instead of on every edge that reaches it.
         topo: List[Tensor] = []
-        visited = set()
-
-        def visit(node: Tensor) -> None:
-            # Constant nodes are marked visited too: a shared constant
-            # (e.g. the scatter indices' subgraph) is then checked once
-            # instead of on every edge that reaches it.
-            if id(node) in visited:
-                return
-            visited.add(id(node))
-            if not node.requires_grad:
-                return
-            for parent in node._parents:
-                visit(parent)
-            topo.append(node)
-
-        visit(self)
+        visited = {id(self)}
+        stack = [(self, iter(self._parents))] if self.requires_grad else []
+        while stack:
+            node, parents = stack[-1]
+            for parent in parents:
+                if id(parent) not in visited:
+                    visited.add(id(parent))
+                    if parent.requires_grad:
+                        stack.append((parent, iter(parent._parents)))
+                        break
+            else:
+                stack.pop()
+                topo.append(node)
         self._accumulate(np.asarray(grad, dtype=self.data.dtype))
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
@@ -328,24 +336,24 @@ def stack_seq(tensors: Sequence[Tensor]) -> Tensor:
     return out
 
 
-def concat_last(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate two (B, L, H) sequences along the feature axis.
+def concat_last(*tensors: Tensor) -> Tensor:
+    """Concatenate (B, L, ·) sequences along the feature axis.
 
-    The bi-directional encoder uses this to join the stacked forward
-    and backward passes with one node instead of L per-position
-    :func:`concat` nodes.
+    One node joins whole sequences, e.g. the decoder states with their
+    attention contexts, instead of L per-position :func:`concat` nodes.
     """
-    width = a.data.shape[2]
-    out = Tensor(np.concatenate([a.data, b.data], axis=2), parents=(a, b))
+    out = Tensor(
+        np.concatenate([t.data for t in tensors], axis=2), parents=tensors
+    )
+    bounds = np.cumsum([0] + [t.data.shape[2] for t in tensors])
 
     def backward(grad: np.ndarray) -> None:
-        # The halves are views of the child's gradient — copying
+        # The parts are views of the child's gradient — copying
         # accumulation only; taking them by reference would let a later
         # += corrupt the child.
-        if a.requires_grad:
-            a._accumulate(grad[:, :, :width])
-        if b.requires_grad:
-            b._accumulate(grad[:, :, width:])
+        for tensor, start, stop in zip(tensors, bounds[:-1], bounds[1:]):
+            if tensor.requires_grad:
+                tensor._accumulate(grad[:, :, start:stop])
 
     out._backward = backward
     return out
@@ -561,163 +569,320 @@ def lstm_step(
     return h_out, c_out
 
 
-def lstm_seq(
-    x_proj: Tensor,
-    w_h: Tensor,
-    bias: Tensor,
-    h0: Tensor,
-    c0: Tensor,
+def time_major(seq: np.ndarray, direction: int) -> np.ndarray:
+    """A (B, L, ·) sequence as the (L, B, ·) steps of *direction*, a
+    view: direction 0 visits positions left to right, direction 1
+    right to left."""
+    steps = seq.transpose(1, 0, 2)
+    return steps[::-1] if direction else steps
+
+
+def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """*arrays* stacked on a new axis 0; a view of a lone array, whose
+    copy would cost the one-direction loop more than it takes."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _stack_steps(seqs: Sequence[np.ndarray]) -> np.ndarray:
+    """Each direction's (B, L, ·) sequence as the (L, B, ·) steps it
+    visits (:func:`time_major`), stacked into one (L, D, B, ·) block;
+    a view when there is one direction."""
+    if len(seqs) == 1:
+        return time_major(seqs[0], 0)[:, None]
+    batch, length, width = seqs[0].shape
+    steps = np.empty((length, len(seqs), batch, width), dtype=seqs[0].dtype)
+    for d, seq in enumerate(seqs):
+        steps[:, d] = time_major(seq, d)
+    return steps
+
+
+def _batch_major(steps: np.ndarray, direction: int) -> np.ndarray:
+    """The inverse of :func:`time_major`: (L, B, ·) steps of
+    *direction* back to (B, L, ·) positions, a view."""
+    return (steps[::-1] if direction else steps).transpose(1, 0, 2)
+
+
+def lstm_recurrence(
+    proj: np.ndarray,
+    w_h: np.ndarray,
+    bias: np.ndarray,
+    h0: Optional[np.ndarray] = None,
+    c0: Optional[np.ndarray] = None,
     keep: Optional[np.ndarray] = None,
-    reverse: bool = False,
+    save: bool = True,
+) -> Tuple[np.ndarray, Optional[tuple]]:
+    """Run D LSTM recurrences side by side on raw arrays.
+
+    Direction 0 runs left to right and direction 1 right to left.
+    ``proj[:, d]`` (L, B, 4H) holds direction d's input projections
+    ``x_t @ w_x`` in the order it visits them (:func:`time_major`),
+    with its ``w_h[d]`` (H, 4H) and ``bias[d]`` (1, 4H).  Step s
+    advances every direction as one (D, B, ·) block: one batched state
+    GEMM, then one pass of each gate ufunc.  *h0*/*c0* (D, B, H) default
+    to zeros.  *keep* is the (B, L) validity mask: a padded position
+    carries the previous state through with
+    ``h_new*keep + h_prev*(1-keep)``, in the directions whose column
+    pads.
+
+    Per direction the values are those of a lone one-direction loop bit
+    for bit: ``P + h@w_h`` then ``+ b`` (addition commutes, and the
+    batched GEMM runs each slice as the 2-D product does), the same gate
+    ufuncs in the same order, the same blend.  Time-major saved state
+    keeps every step's ufuncs on contiguous memory.
+
+    Returns the carried states by position, (B, L, D·H) — a bi-LSTM's
+    memory, forward half first — and the state
+    :func:`lstm_recurrence_backward` needs.  With ``save=False``
+    (inference) that state is ``None``: the gates and cells go to
+    two reused step buffers, which stay in cache, instead of L.
+    """
+    length, directions, batch, width = proj.shape
+    hidden = width // 4
+    dtype = proj.dtype
+    if h0 is None:
+        h0 = np.zeros((directions, batch, hidden), dtype=dtype)
+    if c0 is None:
+        c0 = np.zeros((directions, batch, hidden), dtype=dtype)
+    keep_steps, padded = _blend_steps(keep, directions, dtype)
+    slots = length if save else 2  # a step's c must not overwrite c_prev
+    gates_seq = np.empty((slots, directions, batch, width), dtype=dtype)
+    tanhc_seq = np.empty((slots, directions, batch, hidden), dtype=dtype)
+    c_seq = np.empty((slots, directions, batch, hidden), dtype=dtype)
+    h_seq = np.empty((length, directions, batch, hidden), dtype=dtype)
+    h, c = h0, c0
+    for s in range(length):
+        slot = s % slots
+        z = np.matmul(h, w_h)
+        z += proj[s]
+        z += bias
+        gates = sigmoid_array(z, out=gates_seq[slot])
+        g = gates[..., 2 * hidden : 3 * hidden]
+        np.tanh(z[..., 2 * hidden : 3 * hidden], out=g)
+        c_new = c_seq[slot]
+        np.multiply(gates[..., hidden : 2 * hidden], c, out=c_new)
+        c_new += gates[..., :hidden] * g
+        tanh_c = tanhc_seq[slot]
+        np.tanh(c_new, out=tanh_c)
+        h_new = h_seq[s]
+        np.multiply(gates[..., 3 * hidden :], tanh_c, out=h_new)
+        if padded is not None:
+            for d in padded[s]:
+                kept = keep_steps[s, d]
+                dropped = 1.0 - kept
+                h_new[d] *= kept
+                h_new[d] += h[d] * dropped
+                c_new[d] *= kept
+                c_new[d] += c[d] * dropped
+        h, c = h_new, c_new
+    value = np.empty((batch, length, directions * hidden), dtype=dtype)
+    for d in range(directions):
+        value[:, :, d * hidden : (d + 1) * hidden] = _batch_major(h_seq[:, d], d)
+    if not save:
+        return value, None
+    return value, (w_h, h0, c0, keep_steps, padded, gates_seq, tanhc_seq, c_seq, h_seq)
+
+
+def _blend_steps(keep, directions: int, dtype):
+    """The (L, D, B, 1) keep mask of every step and direction, and per
+    step the directions whose column pads; ``(None, None)`` when no
+    position pads."""
+    if keep is None:
+        return None, None
+    keep = np.asarray(keep, dtype=dtype)
+    if keep.all():
+        return None, None
+    keep_steps = _stack_steps([keep[:, :, None]] * directions)
+    full = keep_steps.all(axis=(2, 3))
+    return keep_steps, [tuple(np.flatnonzero(~row)) for row in full]
+
+
+def lstm_recurrence_backward(grad: np.ndarray, saved: tuple):
+    """Backpropagate (B, L, D·H) state gradients through
+    :func:`lstm_recurrence`.
+
+    The loop runs the steps in reverse as the same (D, B, ·) blocks,
+    with one batched ``dz @ w_hᵀ`` per step.  Each direction's ``w_h``
+    gradient is then one (B·L)-row GEMM and its projection gradient one
+    array.  Returns per-direction lists of the projection, ``w_h`` and
+    bias gradients, and the (D, B, H) gradients of ``h0`` and ``c0``.
+    """
+    w_h, h0, c0, keep_steps, padded, gates_seq, tanhc_seq, c_seq, h_seq = saved
+    length, directions, batch, width = gates_seq.shape
+    hidden = width // 4
+    dtype = gates_seq.dtype
+    grad_steps = _stack_steps(
+        [grad[:, :, d * hidden : (d + 1) * hidden] for d in range(directions)]
+    )
+    w_h_t = w_h.transpose(0, 2, 1)
+    dh_carry = np.zeros((directions, batch, hidden), dtype=dtype)
+    dc_carry = np.zeros((directions, batch, hidden), dtype=dtype)
+    dz_seq = np.empty((length, directions, batch, width), dtype=dtype)
+    deriv = np.empty((directions, batch, width), dtype=dtype)
+    for s in range(length - 1, -1, -1):
+        dh = grad_steps[s] + dh_carry
+        dc_in = dc_carry
+        masked = padded is not None and padded[s]
+        if masked:
+            # A full column keeps 1 and drops 0, so one blend over the
+            # whole block is exact for the directions that do not pad.
+            kept = keep_steps[s]
+            dropped = 1.0 - kept
+            dh_blend = dh * dropped
+            dc_blend = dc_in * dropped
+            dh = dh * kept
+            dc_in = dc_in * kept
+        gates = gates_seq[s]
+        tanh_c = tanhc_seq[s]
+        i = gates[..., :hidden]
+        f = gates[..., hidden : 2 * hidden]
+        g = gates[..., 2 * hidden : 3 * hidden]
+        o = gates[..., 3 * hidden :]
+        dact_o = dh * tanh_c
+        # total cell grad: carried + the tanh path through h
+        dct = tanh_c * tanh_c
+        np.subtract(1.0, dct, out=dct)
+        dct *= o
+        dct *= dh
+        dct += dc_in
+        c_prev = c_seq[s - 1] if s else c0
+        dz = dz_seq[s]
+        np.multiply(dct, g, out=dz[..., :hidden])
+        np.multiply(dct, c_prev, out=dz[..., hidden : 2 * hidden])
+        np.multiply(dct, i, out=dz[..., 2 * hidden : 3 * hidden])
+        dz[..., 3 * hidden :] = dact_o
+        np.subtract(1.0, gates, out=deriv)
+        deriv *= gates
+        gblock = deriv[..., 2 * hidden : 3 * hidden]
+        np.multiply(g, g, out=gblock)
+        np.subtract(1.0, gblock, out=gblock)
+        dz *= deriv
+        dc_carry = dct * f
+        dh_carry = np.matmul(dz, w_h_t)
+        if masked:
+            dc_carry += dc_blend
+            dh_carry += dh_blend
+    dprojs, dw_hs, dbiases = [], [], []
+    for d in range(directions):
+        dproj = np.ascontiguousarray(_batch_major(dz_seq[:, d], d))
+        # The state each position's step started from, in the same
+        # (B, L) layout: the previous step's state, or h0.
+        h_prev = np.empty((batch, length, hidden), dtype=dtype)
+        prev_steps = time_major(h_prev, d)
+        prev_steps[0] = h0[d]
+        prev_steps[1:] = h_seq[:-1, d]
+        rows = batch * length
+        dw_hs.append(h_prev.reshape(rows, hidden).T @ dproj.reshape(rows, width))
+        dbiases.append(dproj.sum(axis=(0, 1))[None, :])
+        dprojs.append(dproj)
+    return dprojs, dw_hs, dbiases, dh_carry, dc_carry
+
+
+def _recurrence(
+    projs: Sequence[Tensor],
+    w_hs: Sequence[Tensor],
+    biases: Sequence[Tensor],
+    h0: Optional[Tensor],
+    c0: Optional[Tensor],
+    keep: Optional[np.ndarray],
+) -> Tensor:
+    """:func:`lstm_recurrence` as one graph node."""
+    # Stacked per call, never kept: the weights change in place
+    # between steps.
+    value, saved = lstm_recurrence(
+        _stack_steps([p.data for p in projs]),
+        _stacked([w.data for w in w_hs]),
+        _stacked([b.data for b in biases]),
+        None if h0 is None else h0.data[None],
+        None if c0 is None else c0.data[None],
+        keep,
+    )
+    states = tuple(t for t in (h0, c0) if t is not None)
+    inputs = (*projs, *w_hs, *biases)
+    out = Tensor(value, parents=inputs + states)
+
+    def backward(grad: np.ndarray) -> None:
+        dprojs, dw_hs, dbiases, dh0, dc0 = lstm_recurrence_backward(grad, saved)
+        # Every gradient is a fresh array no one else holds.
+        for tensor, g in zip(inputs, (*dprojs, *dw_hs, *dbiases)):
+            if tensor.requires_grad:
+                tensor._accumulate_owned(g)
+        for tensor, g in ((h0, dh0), (c0, dc0)):
+            if tensor is not None and tensor.requires_grad:
+                tensor._accumulate_owned(g[0])
+
+    out._backward = backward
+    return out
+
+
+def lstm_seq(
+    x_proj: Tensor, w_h: Tensor, bias: Tensor, h0: Tensor, c0: Tensor
 ) -> Tensor:
     """Run a whole LSTM recurrence as ONE graph node.
 
     *x_proj* (B, L, 4H) holds every timestep's input projection (a
-    :func:`matmul_seq`); the loop here is pure numpy — no per-step
-    tensors, closures, or topo-sort bookkeeping, which on one core is
-    most of what a step costs.  Per element the math (and its
-    association) is identical to :func:`lstm_step`, so the forward
+    :func:`matmul_seq`); *h0*/*c0* (B, H) are the initial state.  The
+    loop is :func:`lstm_recurrence`'s, with one direction: pure numpy,
+    no per-step tensors, closures or topo-sort bookkeeping, which on
+    one core is most of what a step costs.  Per element the math (and
+    its association) is that of :func:`lstm_step`, so the forward
     values match the op-by-op cell bit for bit.
 
-    *keep* is the (B, L) validity mask: padded positions carry the
-    previous state through, with the same ``h_new*keep + h_prev*drop``
-    blend the layer-level path uses.  ``reverse=True`` runs the
-    recurrence right-to-left (the backward direction of a bi-LSTM);
-    outputs stay laid out by absolute position.
-
-    Returns the carried hidden states (B, L, H).  The recurrence's
-    backward batches the weight gradient into one (L·B)-row GEMM and
-    hands the input-projection gradient over as a single array, so only
-    the unavoidable per-step ``dz @ w_h.T`` GEMM remains in the loop.
+    Returns the hidden states (B, L, H).  The backward batches the
+    weight gradient into one (L·B)-row GEMM and hands the projection
+    gradient over as a single array, so only the unavoidable per-step
+    ``dz @ w_h.T`` GEMM remains in the loop.
     """
-    P = x_proj.data
-    batch, length, width = P.shape
-    hidden = width // 4
-    dtype = P.dtype
-    wh = w_h.data
-    b = bias.data
-    h = h0.data
-    c = c0.data
-    times = list(range(length))
-    if reverse:
-        times.reverse()
-    if keep is not None:
-        keep_arr = np.asarray(keep, dtype=dtype)
-        full_cols = keep_arr.all(axis=0)
-        if full_cols.all():
-            keep_arr = None
-    else:
-        keep_arr = None
-    # Time-major saved state: [t] slices are contiguous, which keeps
-    # every ufunc in the loops on contiguous memory.
-    gates_seq = np.empty((length, batch, width), dtype=dtype)
-    tanhc_seq = np.empty((length, batch, hidden), dtype=dtype)
-    c_seq = np.empty((length, batch, hidden), dtype=dtype)
-    h_seq = np.empty((length, batch, hidden), dtype=dtype)
+    return _recurrence((x_proj,), (w_h,), (bias,), h0, c0, None)
 
-    for t in times:
-        z = P[:, t] + h @ wh  # same association as the fused cell
-        z += b
-        gates = sigmoid_array(z, out=gates_seq[t])
-        np.tanh(z[:, 2 * hidden : 3 * hidden], out=gates[:, 2 * hidden : 3 * hidden])
-        i = gates[:, :hidden]
-        f = gates[:, hidden : 2 * hidden]
-        g = gates[:, 2 * hidden : 3 * hidden]
-        o = gates[:, 3 * hidden :]
-        c_new = c_seq[t]
-        np.multiply(f, c, out=c_new)
-        c_new += i * g
-        tanh_c = tanhc_seq[t]
-        np.tanh(c_new, out=tanh_c)
-        h_new = h_seq[t]
-        np.multiply(o, tanh_c, out=h_new)
-        if keep_arr is not None and not full_cols[t]:
-            kt = keep_arr[:, t : t + 1]
-            dt = 1.0 - kt
-            h_new *= kt
-            h_new += h * dt
-            c_new *= kt
-            c_new += c * dt
-        h = h_new
-        c = c_new
-    value = np.ascontiguousarray(h_seq.transpose(1, 0, 2))
-    out = Tensor(value, parents=(x_proj, w_h, bias, h0, c0))
+
+def bilstm_seq(
+    proj_fwd: Tensor,
+    proj_bwd: Tensor,
+    w_h_fwd: Tensor,
+    w_h_bwd: Tensor,
+    bias_fwd: Tensor,
+    bias_bwd: Tensor,
+    keep: np.ndarray,
+) -> Tensor:
+    """Both directions of a bi-LSTM from zero state, as ONE graph node.
+
+    Step s advances the forward direction at position s and the
+    backward direction at position L-1-s as one stacked (2, B, ·) block
+    (:func:`lstm_recurrence`); its backward runs the same stacked loop
+    in reverse.  *keep* is the (B, L) validity mask.  The values equal
+    two one-direction recurrences bit for bit.
+
+    Returns the memory (B, L, 2H): the forward state at each position,
+    then the backward one.
+    """
+    return _recurrence(
+        (proj_fwd, proj_bwd), (w_h_fwd, w_h_bwd), (bias_fwd, bias_bwd),
+        None, None, keep,
+    )
+
+
+def final_states(memory: Tensor) -> Tensor:
+    """A bi-LSTM's last state per direction: memory (B, L, 2H) →
+    (B, 2H), the forward half at position L-1 joined to the backward
+    half at position 0.
+
+    The backward writes straight into ``memory.grad``, as
+    :func:`slice_time` does.
+    """
+    hidden = memory.data.shape[2] // 2
+    out = Tensor(
+        np.concatenate(
+            [memory.data[:, -1, :hidden], memory.data[:, 0, hidden:]], axis=1
+        ),
+        parents=(memory,),
+    )
 
     def backward(grad: np.ndarray) -> None:
-        grad_t = grad.transpose(1, 0, 2)  # (L, B, H) view
-        dh_carry = np.zeros((batch, hidden), dtype=dtype)
-        dc_carry = np.zeros((batch, hidden), dtype=dtype)
-        dz_seq = np.empty((length, batch, width), dtype=dtype)
-        deriv = np.empty((batch, width), dtype=dtype)
-        for step in range(length - 1, -1, -1):
-            t = times[step]
-            dh = grad_t[t] + dh_carry
-            dc_in = dc_carry
-            masked = keep_arr is not None and not full_cols[t]
-            if masked:
-                kt = keep_arr[:, t : t + 1]
-                dt = 1.0 - kt
-                dh_blend = dh * dt
-                dc_blend = dc_in * dt
-                dh = dh * kt
-                dc_in = dc_in * kt
-            gates = gates_seq[t]
-            tanh_c = tanhc_seq[t]
-            i = gates[:, :hidden]
-            f = gates[:, hidden : 2 * hidden]
-            g = gates[:, 2 * hidden : 3 * hidden]
-            o = gates[:, 3 * hidden :]
-            dact_o = dh * tanh_c
-            # total cell grad: carried + the tanh path through h
-            dct = tanh_c * tanh_c
-            np.subtract(1.0, dct, out=dct)
-            dct *= o
-            dct *= dh
-            dct += dc_in
-            if step > 0:
-                c_prev = c_seq[times[step - 1]]
-                h_prev = h_seq[times[step - 1]]
-            else:
-                c_prev = c0.data
-                h_prev = h0.data
-            dz = dz_seq[t]
-            np.multiply(dct, g, out=dz[:, :hidden])
-            np.multiply(dct, c_prev, out=dz[:, hidden : 2 * hidden])
-            np.multiply(dct, i, out=dz[:, 2 * hidden : 3 * hidden])
-            dz[:, 3 * hidden :] = dact_o
-            np.subtract(1.0, gates, out=deriv)
-            deriv *= gates
-            gblock = deriv[:, 2 * hidden : 3 * hidden]
-            np.multiply(g, g, out=gblock)
-            np.subtract(1.0, gblock, out=gblock)
-            dz *= deriv
-            dc_carry = dct * f
-            dh_carry = dz @ wh.T
-            if masked:
-                dc_carry += dc_blend
-                dh_carry += dh_blend
-        if h0.requires_grad:
-            h0._accumulate_owned(dh_carry)
-        if c0.requires_grad:
-            c0._accumulate_owned(dc_carry)
-        if bias.requires_grad:
-            bias._accumulate_owned(
-                dz_seq.sum(axis=(0, 1))[None, :]
-            )
-        if w_h.requires_grad:
-            # One (L·B, H).T @ (L·B, 4H) GEMM instead of L small ones.
-            h_prevs = np.empty((length, batch, hidden), dtype=dtype)
-            h_prevs[times[0]] = h0.data
-            for step in range(1, length):
-                h_prevs[times[step]] = h_seq[times[step - 1]]
-            w_h._accumulate_owned(
-                h_prevs.reshape(length * batch, hidden).T
-                @ dz_seq.reshape(length * batch, width)
-            )
-        if x_proj.requires_grad:
-            x_proj._accumulate_owned(
-                np.ascontiguousarray(dz_seq.transpose(1, 0, 2))
-            )
+        if memory.requires_grad:
+            if memory.grad is None:
+                memory.grad = np.zeros_like(memory.data)
+            memory.grad[:, -1, :hidden] += grad[:, :hidden]
+            memory.grad[:, 0, hidden:] += grad[:, hidden:]
 
     out._backward = backward
     return out
@@ -932,6 +1097,59 @@ def cross_entropy_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
             full = probs * grad[:, None]
             full[rows, targets] -= grad
             logits._accumulate_owned(full)
+
+    out._backward = backward
+    return out
+
+
+def copy_nll(
+    logits: Tensor,
+    gate: Tensor,
+    weights: Tensor,
+    source_ids: np.ndarray,
+    targets: np.ndarray,
+    eps: float = 1e-12,
+) -> Tensor:
+    """Per-row negative log-likelihood of the copy mixture, all rows at
+    once: ``-log(p + eps)`` with
+    ``p = g·softmax(logits)[y] + (1-g)·Σ_l w_l·[source_ids_l = y]``.
+
+    logits (N, V), gate (N, 1) the generation probability ``g``,
+    weights (N, L) the attention weights, source_ids (N, L) the source
+    tokens in output-vocab ids, targets (N,) → (N,).
+
+    The per-step reference builds the (N, V) copy distribution with a
+    scatter and mixes it with the vocabulary softmax; only the target's
+    column of that mixture is ever read, so this node reads the copy
+    mass off an (N, L) match mask instead.  The mixture keeps the
+    reference association, ``vocab·g + copy·((g·-1) + 1)``; only the
+    copy sum's order may differ when a target repeats in the source.
+    The backward needs just the softmax and the match mask.
+    """
+    targets = np.asarray(targets, dtype=np.int64)
+    rows = np.arange(targets.shape[0])
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    vocab = exp / exp.sum(axis=1, keepdims=True)
+    match = np.asarray(source_ids) == targets[:, None]
+    copied = (weights.data * match).sum(axis=1)
+    g = gate.data[:, 0]
+    picked = vocab[rows, targets]
+    p = picked * g + copied * ((g * -1.0) + 1.0)
+    out = Tensor(-np.log(p + eps), parents=(logits, gate, weights))
+
+    def backward(grad: np.ndarray) -> None:
+        dp = -grad / (p + eps)
+        if logits.requires_grad:
+            # d p / d logits = g·s_y·(onehot_y - s)
+            scaled = dp * g * picked
+            full = vocab * -scaled[:, None]
+            full[rows, targets] += scaled
+            logits._accumulate_owned(full)
+        if gate.requires_grad:
+            gate._accumulate_owned((dp * (picked - copied))[:, None])
+        if weights.requires_grad:
+            weights._accumulate_owned((dp * ((g * -1.0) + 1.0))[:, None] * match)
 
     out._backward = backward
     return out

@@ -5,11 +5,12 @@ and a backward closure per op, and on these small shapes that
 bookkeeping, not the arithmetic, is most of a step.  The two kernels
 here work on raw arrays:
 
-* :func:`encode` runs the bi-LSTM's two directions in one recurrence:
-  step ``s`` advances the forward direction at position ``s`` and the
-  backward direction at ``L-1-s`` as one stacked ``(2, B, ·)`` block,
-  so each step is one batched state GEMM and one pass of every gate
-  ufunc instead of two.
+* :func:`encode` runs the bi-LSTM's two directions in one recurrence,
+  the forward loop of the training node
+  (:func:`repro.neural.autograd.lstm_recurrence`): step ``s`` advances
+  the forward direction at position ``s`` and the backward direction at
+  ``L-1-s`` as one stacked ``(2, B, ·)`` block, so each step is one
+  batched state GEMM and one pass of every gate ufunc instead of two.
 * :class:`DecoderStep` is one decoder step bound to one decode call's
   weights and encoder memory.
 
@@ -35,7 +36,7 @@ from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
-from repro.neural.autograd import sigmoid_array
+from repro.neural.autograd import lstm_recurrence, sigmoid_array, time_major
 
 if TYPE_CHECKING:
     from repro.neural.model import Batch, EncodedBatch, Seq2Vis
@@ -58,7 +59,10 @@ def _lstm_gates(z: np.ndarray, c_prev: np.ndarray) -> Tuple[np.ndarray, np.ndarr
 def encode(model: Seq2Vis, batch: Batch) -> EncodedBatch:
     """The bi-LSTM encoder and bridges of *model* over *batch*.
 
-    Bit-identical to ``model._encode(batch)`` under ``no_grad``.
+    Bit-identical to ``model._encode(batch)`` under ``no_grad``: the
+    input projections are one GEMM per direction, as ``matmul_seq``
+    computes them, and both directions run through the training node's
+    own loop, :func:`repro.neural.autograd.lstm_recurrence`.
     """
     from repro.neural.model import EncodedBatch
 
@@ -68,51 +72,28 @@ def encode(model: Seq2Vis, batch: Batch) -> EncodedBatch:
     embedded = model.embed_in.weight.data[src_ids]
     batch_size, length, dim = embedded.shape
     flat = embedded.reshape(batch_size * length, dim)
-    dtype = fwd.w_x.data.dtype
     width = fwd.w_x.data.shape[1]
-
-    def time_major(cell) -> np.ndarray:
-        # One input-projection GEMM per direction, as in ``_encode``.
-        seq = (flat @ cell.w_x.data).reshape(batch_size, length, width)
-        return seq.transpose(1, 0, 2)
-
-    # Slot 1 of step s holds the backward direction's position L-1-s.
-    proj = np.empty((length, 2, batch_size, width), dtype=dtype)
-    proj[:, 0] = time_major(fwd)
-    proj[:, 1] = time_major(bwd)[::-1]
+    # One direction's projection at a time: holding both beside the
+    # stacked block costs fresh pages on every call.
+    proj = np.empty((length, 2, batch_size, width), dtype=fwd.w_x.data.dtype)
+    for d, cell in enumerate((fwd, bwd)):
+        proj[:, d] = time_major(
+            (flat @ cell.w_x.data).reshape(batch_size, length, width), d
+        )
     # Stacked per call, never kept: the weights may change in place
     # between calls.
-    w_h = np.stack([fwd.w_h.data, bwd.w_h.data])      # (2, H, 4H)
-    bias = np.stack([fwd.bias.data, bwd.bias.data])   # (2, 1, 4H)
-    hidden = width // 4
-    keep = np.asarray(batch.src_mask, dtype=dtype)
-    full = keep.all(axis=0)
-    states = np.empty((length, 2, batch_size, hidden), dtype=dtype)
-    h = np.zeros((2, batch_size, hidden), dtype=dtype)
-    c = np.zeros((2, batch_size, hidden), dtype=dtype)
-    for step in range(length):
-        # hW + P is lstm_seq's P + hW bit for bit: addition commutes.
-        z = np.matmul(h, w_h)
-        z += proj[step]
-        z += bias
-        h_new, c_new = _lstm_gates(z, c)
-        # A padded position carries the previous state through, with
-        # lstm_seq's blend, only where that direction's column pads.
-        for direction, position in ((0, step), (1, length - 1 - step)):
-            if not full[position]:
-                kept = keep[:, position : position + 1]
-                dropped = 1.0 - kept
-                h_new[direction] *= kept
-                h_new[direction] += h[direction] * dropped
-                c_new[direction] *= kept
-                c_new[direction] += c[direction] * dropped
-        states[step] = h_new
-        h, c = h_new, c_new
-    memory = np.concatenate(
-        [states[:, 0].transpose(1, 0, 2), states[::-1, 1].transpose(1, 0, 2)],
-        axis=2,
+    memory, _ = lstm_recurrence(
+        proj,
+        np.stack([fwd.w_h.data, bwd.w_h.data]),
+        np.stack([fwd.bias.data, bwd.bias.data]),
+        keep=batch.src_mask,
+        save=False,
     )
-    final_h = np.concatenate([h[0], h[1]], axis=1)
+    hidden = fwd.w_h.data.shape[0]
+    # autograd.final_states: forward at L-1, backward at 0.
+    final_h = np.concatenate(
+        [memory[:, -1, :hidden], memory[:, 0, hidden:]], axis=1
+    )
     bridge, bridge_c = model.bridge, model.bridge_c
     return EncodedBatch(
         memory=memory,

@@ -205,34 +205,22 @@ class BiLSTMEncoder(Module):
 
         Padded positions keep the previous state (standard masked RNN).
         When *embedded_seq* (B, L, D) is given and the cells are fused,
-        both directions' input projections are hoisted out of the
-        recurrence as one sequence GEMM each, and the per-position list
-        is not needed at all.
+        each direction's input projections are hoisted out of the
+        recurrence as one sequence GEMM, and both directions run as one
+        stacked recurrence node (:func:`repro.neural.autograd.bilstm_seq`);
+        the per-position list is not needed at all.
         """
-        if embedded_seq is not None:
-            batch, length = embedded_seq.shape[0], embedded_seq.shape[1]
-        else:
-            batch, length = embedded[0].shape[0], len(embedded)
         if embedded_seq is not None and self.forward_cell.fused:
-            # Whole-sequence path: one hoisted projection GEMM and one
-            # recurrence node per direction (see autograd.lstm_seq).
-            def run_seq(cell: LSTMCell, reverse: bool) -> Tensor:
-                proj_seq = ag.matmul_seq(embedded_seq, cell.w_x)
-                h0, c0 = cell.initial_state(batch)
-                return ag.lstm_seq(
-                    proj_seq, cell.w_h, cell.bias, h0, c0,
-                    keep=mask, reverse=reverse,
-                )
-
-            fwd_seq = run_seq(self.forward_cell, reverse=False)
-            bwd_seq = run_seq(self.backward_cell, reverse=True)
-            memory = ag.concat_last(fwd_seq, bwd_seq)
-            final_h = ag.concat(
-                [ag.slice_time(fwd_seq, length - 1), ag.slice_time(bwd_seq, 0)],
-                axis=1,
+            fwd, bwd = self.forward_cell, self.backward_cell
+            memory = ag.bilstm_seq(
+                ag.matmul_seq(embedded_seq, fwd.w_x),
+                ag.matmul_seq(embedded_seq, bwd.w_x),
+                fwd.w_h, bwd.w_h, fwd.bias, bwd.bias, mask,
             )
-            return memory, final_h, ag.slice_time(memory, length - 1)
+            last = ag.slice_time(memory, embedded_seq.shape[1] - 1)
+            return memory, ag.final_states(memory), last
 
+        batch, length = embedded[0].shape[0], len(embedded)
         dtype = self.forward_cell.w_x.data.dtype
         # Preallocated per-position blend masks, cast once to the cell
         # dtype so padded steps never upcast a float32 state.

@@ -10,6 +10,11 @@ sequence.  Variants:
 * ``copy``       — attention plus a pointer/copy mechanism that mixes
   the vocabulary distribution with attention mass scattered onto the
   source tokens (how rare column names get produced).
+
+Training (:meth:`Seq2Vis.loss`) runs every variant as sequence-level
+graph nodes over all target steps at once; the per-step graph loop is
+the ``fused=False`` reference engine the tests compare against.
+Decoding runs the graph-free kernels of :mod:`repro.neural.infer`.
 """
 
 from __future__ import annotations
@@ -209,57 +214,19 @@ class Seq2Vis(Module):
     # ----- training loss ---------------------------------------------------
 
     def loss(self, batch: Batch) -> Tensor:
-        """Teacher-forced mean token loss over a batch."""
+        """Teacher-forced mean token loss over a batch.
+
+        With the fused kernels (the default) every variant runs as a
+        dozen sequence-level nodes (:meth:`_sequence_loss`).  The
+        per-step loop below is the ``fused=False`` reference engine,
+        kept as the parity oracle of the tests.
+        """
         memory, h, c = self._encode(batch)
-        steps = batch.tgt_in.shape[1]
-        tgt_embedded: Optional[Tensor] = None
         if self.fused:
-            tgt_embedded = ag.embedding_seq(self.embed_out.weight, batch.tgt_in)
-        if self.fused and self.variant != "copy":
-            # Sequence-level fast path.  Teacher forcing means the
-            # decoder recurrence never looks at the attention output,
-            # so the whole loss is sequence ops: one recurrence node,
-            # batched attention over all T steps, one (B·T, H)
-            # projection GEMM, and one cross-entropy.
-            proj = ag.matmul_seq(tgt_embedded, self.decoder.w_x)
-            h_seq = ag.lstm_seq(
-                proj, self.decoder.w_h, self.decoder.bias, h, c
-            )  # (B, T, H)
-            if self.variant == "basic":
-                outputs = h_seq
-            else:
-                q_seq = ag.add(
-                    ag.matmul_seq(h_seq, self.query_proj.weight),
-                    self.query_proj.bias,
-                )
-                scores = ag.attention_scores_seq(q_seq, memory)
-                weights = ag.masked_softmax(
-                    scores, mask=batch.src_mask[:, None, :]
-                )
-                context = ag.attention_context_seq(weights, memory)
-                outputs = ag.tanh(
-                    ag.add(
-                        ag.matmul_seq(
-                            ag.concat_last(h_seq, context),
-                            self.combine.weight,
-                        ),
-                        self.combine.bias,
-                    )
-                )
-            flat = ag.reshape_merge(outputs)                    # (B·T, H)
-            logits = ag.add(
-                ag.matmul(flat, self.out_proj.weight), self.out_proj.bias
-            )
-            token_losses = ag.cross_entropy_logits(
-                logits, batch.tgt_out.reshape(-1)
-            )
-            return ag.masked_mean(token_losses, batch.tgt_mask.reshape(-1))
+            return self._sequence_loss(batch, memory, h, c)
         losses: List[Tensor] = []
-        for t in range(steps):
-            if tgt_embedded is not None:
-                token_embed = ag.slice_time(tgt_embedded, t)
-            else:
-                token_embed = self.embed_out(batch.tgt_in[:, t])
+        for t in range(batch.tgt_in.shape[1]):
+            token_embed = self.embed_out(batch.tgt_in[:, t])
             output, weights, context, (h, c) = self._step(
                 token_embed, (h, c), memory, batch.src_mask
             )
@@ -275,6 +242,55 @@ class Seq2Vis(Module):
         per_step = ag.stack_seq([_as_column(loss) for loss in losses])
         flat = _flatten_steps(per_step)
         return ag.masked_mean(flat, batch.tgt_mask.T.reshape(-1))
+
+    def _sequence_loss(
+        self, batch: Batch, memory: Tensor, h0: Tensor, c0: Tensor
+    ) -> Tensor:
+        """The loss as sequence ops over all T target steps at once.
+
+        Teacher forcing means the decoder recurrence never reads the
+        attention output, so the decoder is one recurrence node, one
+        attention chain serves every step, and the output logits are
+        one (B·T, H) GEMM.  ``basic`` and ``attention`` end in one
+        cross-entropy; ``copy`` adds one (B·T, 3H+E) gate GEMM and ends
+        in :func:`repro.neural.autograd.copy_nll`.
+        """
+        steps = batch.tgt_in.shape[1]
+        tgt_embedded = ag.embedding_seq(self.embed_out.weight, batch.tgt_in)
+        h_seq = ag.lstm_seq(
+            ag.matmul_seq(tgt_embedded, self.decoder.w_x),
+            self.decoder.w_h, self.decoder.bias, h0, c0,
+        )  # (B, T, H)
+        targets = batch.tgt_out.reshape(-1)
+        if self.variant == "basic":
+            outputs = h_seq
+        else:
+            q_seq = ag.add(
+                ag.matmul_seq(h_seq, self.query_proj.weight),
+                self.query_proj.bias,
+            )
+            scores = ag.attention_scores_seq(q_seq, memory)
+            weights = ag.masked_softmax(scores, mask=batch.src_mask[:, None, :])
+            context = ag.attention_context_seq(weights, memory)
+            outputs = ag.tanh(
+                ag.add(
+                    ag.matmul_seq(
+                        ag.concat_last(h_seq, context), self.combine.weight
+                    ),
+                    self.combine.bias,
+                )
+            )
+        logits = self.out_proj(ag.reshape_merge(outputs))       # (B·T, V)
+        if self.variant == "copy":
+            gate_input = ag.concat_last(outputs, context, tgt_embedded)
+            p_gen = ag.sigmoid(self.gen_gate(ag.reshape_merge(gate_input)))
+            token_losses = ag.copy_nll(
+                logits, p_gen, ag.reshape_merge(weights),
+                np.repeat(batch.src_out_ids, steps, axis=0), targets,
+            )
+        else:
+            token_losses = ag.cross_entropy_logits(logits, targets)
+        return ag.masked_mean(token_losses, batch.tgt_mask.reshape(-1))
 
     def _copy_loss(
         self,

@@ -6,11 +6,18 @@ The loop is the integration point of the fast-engine pieces:
 * ``TrainConfig.dtype`` applies the dtype policy (default float32; the
   model is cast once, before the optimizer is built, so the flat Adam
   buffers alias float32 storage).
-* ``TrainConfig.fused`` selects the fused kernels + flat-buffer
-  :class:`~repro.neural.optimizer.Adam` (default) or the seed-faithful
-  reference engine (op-by-op LSTM graph +
-  :class:`~repro.neural.optimizer.ReferenceAdam`), which the training
-  benchmark uses as its baseline.
+* ``TrainConfig.fused`` selects the fused engine (default): every
+  variant's loss as about a dozen sequence-level graph nodes (both
+  encoder directions in one recurrence node, the decoder in another,
+  attention over all steps at once, and one fused loss node) plus the
+  flat-buffer :class:`~repro.neural.optimizer.Adam`.  ``fused=False``
+  is the seed-faithful reference engine (op-by-op LSTM graph, a
+  per-step loss loop, :class:`~repro.neural.optimizer.ReferenceAdam`),
+  kept as the parity oracle of the tests and the training benchmark's
+  baseline.
+* Each step backpropagates with ``free_graph=True``; ``backward``
+  leaves no reference cycle, so the step's graph is freed as soon as
+  the loss is dropped, not when the cyclic collector next runs.
 * Epoch train loss is **token-weighted** (total masked token loss over
   total target tokens), the same statistic ``evaluate_loss`` reports,
   so train and validation curves are directly comparable.

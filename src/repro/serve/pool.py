@@ -658,7 +658,12 @@ class WorkerPool:
             if "weights" in doc:
                 entry["weights"] = doc["weights"]
             workers.append(entry)
-        ready = sum(1 for h in self._workers if h.state == READY)
+        # A worker killed since the last heartbeat is still READY until
+        # the supervisor buries it; count only live ones, as routing does.
+        ready = sum(
+            1 for h in self._workers
+            if h.state == READY and h.process.is_alive()
+        )
         if self._closing:
             status = "draining"
         elif ready == len(self._workers):
